@@ -467,7 +467,7 @@ def _print_health_table(service) -> None:
         f"{'suspicion':>9} {'weight':>6} {'circuit':>9} {'timeouts':>8}"
     )
     for row in rows:
-        node_id = service.daemons[row["peer"]].node.node_id
+        node_id = service.nodes[row["peer"]].node_id
         print(
             f"{node_id:>10} {row['samples']:>7} "
             f"{row['mean_latency'] * 1e3:>9.2f} {row['deadline']:>10.3f} "

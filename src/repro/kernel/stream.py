@@ -377,7 +377,7 @@ class IncrementalStreamDecoder:
     :meth:`finish` returns the same lazy, intern-aware
     :class:`ClockStream` that :func:`decode_stream` would have produced
     for the concatenated bytes -- the two paths are equivalent by
-    construction, which is what lets the async replica daemon share the
+    construction, which is what lets the service engine share the
     synchronous engine's merge logic bit for bit.  A decoder that has
     raised is spent: further use raises :class:`EnvelopeError`.
     """

@@ -63,6 +63,23 @@ class LatencyPercentiles(Dict[float, float]):
         return self.samples == 0
 
 
+def nearest_rank(
+    samples: Sequence[float], quantiles: Sequence[float]
+) -> LatencyPercentiles:
+    """Nearest-rank percentiles of ``samples`` (no interpolation)."""
+    ordered = sorted(samples)
+    if not ordered:
+        return LatencyPercentiles({q: 0.0 for q in quantiles}, 0)
+    last = len(ordered) - 1
+    return LatencyPercentiles(
+        {
+            q: ordered[min(last, max(0, math.ceil(q * len(ordered)) - 1))]
+            for q in quantiles
+        },
+        len(ordered),
+    )
+
+
 @dataclass
 class NetworkMeter:
     """Message, byte and fault accounting for wire-level synchronization.
@@ -98,7 +115,7 @@ class NetworkMeter:
     #: Bytes of payloads the receiving engine accepted (first valid copy).
     bytes_delivered: int = 0
     per_pair: Dict[Tuple[str, str], Tuple[int, int]] = field(default_factory=dict)
-    #: Virtual seconds each transfer leg spent on the wire (async service
+    #: Virtual seconds each transfer leg spent on the wire (service
     #: only; the synchronous engine moves bytes in zero simulated time).
     transfer_latencies: List[float] = field(default_factory=list)
 
@@ -132,7 +149,7 @@ class NetworkMeter:
         self.bytes_delivered += nbytes
 
     def record_transfer_latency(self, seconds: float) -> None:
-        """Record the virtual wire time of one transfer leg (async path)."""
+        """Record the virtual wire time of one transfer leg (service path)."""
         self.transfer_latencies.append(seconds)
 
     def latency_percentiles(
@@ -149,17 +166,7 @@ class NetworkMeter:
         one sample answers every quantile, and the p99 of two samples is
         the larger one (``ceil(0.99 * 2) - 1 == 1``).
         """
-        samples = sorted(self.transfer_latencies)
-        if not samples:
-            return LatencyPercentiles({q: 0.0 for q in quantiles}, 0)
-        last = len(samples) - 1
-        return LatencyPercentiles(
-            {
-                q: samples[min(last, max(0, math.ceil(q * len(samples)) - 1))]
-                for q in quantiles
-            },
-            len(samples),
-        )
+        return nearest_rank(self.transfer_latencies, quantiles)
 
     def goodput(self) -> float:
         """Accepted payload bytes as a fraction of all bytes sent.

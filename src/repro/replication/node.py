@@ -18,7 +18,7 @@ from .network import SimulatedNetwork
 from .store import MergeReport, StoreReplica
 from .tracker import CausalityTracker
 
-__all__ = ["MobileNode"]
+__all__ = ["MobileNode", "replicas_agree"]
 
 
 class MobileNode:
@@ -200,3 +200,26 @@ class MobileNode:
 
     def __repr__(self) -> str:
         return f"MobileNode({self.node_id!r})"
+
+
+def replicas_agree(
+    nodes: Iterable[MobileNode], keys: Optional[Iterable[str]] = None
+) -> bool:
+    """True when every live node holds the same siblings for every key.
+
+    ``keys`` defaults to every key any live node holds.
+    """
+    live = [node for node in nodes if node.alive]
+    if keys is None:
+        keys = set()
+        for node in live:
+            keys |= set(node.store.keys())
+    for key in keys:
+        reference = None
+        for node in live:
+            values = sorted(repr(value) for value in node.store.get(key))
+            if reference is None:
+                reference = values
+            elif values != reference:
+                return False
+    return True

@@ -99,7 +99,7 @@ from ..kernel.stream import InternTable, decode_stream, encode_stream
 from .faults import FaultyTransport, RetryPolicy
 from .history import SyncHistory
 from .network import NetworkMeter
-from .node import MobileNode
+from .node import MobileNode, replicas_agree
 from .store import FrameRejected, KeyState, MergeReport, StoreReplica
 from .tracker import KernelTracker
 
@@ -117,8 +117,8 @@ __all__ = [
 class SessionAbort(Exception):
     """Thrown *into* a running session generator to cancel it cleanly.
 
-    A driver that decides a session must not continue -- the async
-    daemon's deadline enforcement -- calls ``session.throw(SessionAbort())``
+    A driver that decides a session must not continue -- the service
+    interpreter's deadline enforcement -- calls ``session.throw(SessionAbort())``
     at the suspended wire effect.  Every yield of the session generator
     sits inside a transfer leg, so the abort surfaces at one of the two
     ``_ship`` calls; the generator restores both replicas from the
@@ -373,7 +373,7 @@ class WireSyncEngine:
         backoff) and :class:`TransferEffect` (an attempt on the wire) and
         *returns* ``blob index -> validated result`` via ``StopIteration``.
         The synchronous driver exhausts it ignoring every effect; the
-        async service sleeps the effects on the virtual clock -- either
+        service interpreter waits out the effects on the virtual clock -- either
         way the computation, RNG draws and meter counters are the same
         code in the same order, which is what makes the two paths
         lockstep-equal on identical schedules.
@@ -437,7 +437,7 @@ class WireSyncEngine:
         return results
 
     def _decode_stream(self, body):
-        """Decode one delivered stream body (the async daemon's feed point).
+        """Decode one delivered stream body (the service engine's feed point).
 
         The base engine decodes the assembled buffer in one call; the
         service's :class:`~repro.service.engine.AsyncWireSyncEngine`
@@ -597,7 +597,7 @@ class WireSyncEngine:
         interleaving that keeps one shard's syncs ordered) produces
         exactly the state of one unrestricted sync.  The datacenter-scale
         service uses this to parallelize one logical exchange across
-        worker event loops.
+        shards.
 
         This is the synchronous driver of :meth:`session`: it runs the
         identical sans-io generator, ignoring the wire-timing effects.
@@ -624,7 +624,7 @@ class WireSyncEngine:
         :class:`~repro.replication.store.MergeReport` via
         ``StopIteration.value``.  All state mutation, RNG consumption and
         meter accounting happen *inside* the generator, so any driver --
-        the synchronous :meth:`sync`, the virtual-time async service --
+        the synchronous :meth:`sync`, the virtual-time service --
         produces identical merges, fault schedules and counters for the
         same call sequence; drivers differ only in what they do with the
         effects.
@@ -1109,22 +1109,7 @@ class AntiEntropy:
 
     def converged(self, keys: Optional[Iterable[str]] = None) -> bool:
         """True when every live node holds the same siblings for every key."""
-        live = [node for node in self.nodes if node.alive]
-        if not live:
-            return True
-        if keys is None:
-            keys = set()
-            for node in live:
-                keys |= set(node.store.keys())
-        for key in keys:
-            reference = None
-            for node in live:
-                values = sorted(repr(value) for value in node.store.get(key))
-                if reference is None:
-                    reference = values
-                elif values != reference:
-                    return False
-        return True
+        return replicas_agree(self.nodes, keys)
 
     def rounds_to_convergence(
         self, max_rounds: int, *, advance_network: bool = True

@@ -1,26 +1,29 @@
-"""Datacenter-scale asynchronous anti-entropy on simulated time.
+"""Datacenter-scale anti-entropy on simulated time.
 
-This package turns the pairwise wire sync engine into a *service*: an
-asyncio replica daemon per simulated node, gossiping the existing batched
-``"CS"`` stream format over a discrete-event network model (configurable
-latency, bandwidth, jitter, loss and partitions) on a virtual clock -- no
-real sleeping -- so one machine drives 10^4-10^6 replicas to convergence.
+This package turns the pairwise wire sync engine into a *service*: every
+(pair, shard) part of a gossip round is a job wrapping one sans-io sync
+session, and a discrete-event interpreter runs the jobs on a virtual clock
+-- no real sleeping -- over a network model (configurable latency,
+bandwidth, jitter, loss and partitions), gossiping the existing batched
+``"CS"`` stream format, so one machine drives 10^4-10^6 replicas to
+convergence.
 
-* :mod:`~repro.service.engine`   -- :class:`AsyncWireSyncEngine`, the wire
-  engine with incremental (chunked) stream decode;
-* :mod:`~repro.service.links`    -- :class:`LinkProfile` virtual-time link
-  costing;
-* :mod:`~repro.service.sharding` -- :class:`KeyShards` key-range sharding
-  and the shared :func:`shard_keys` helper;
-* :mod:`~repro.service.daemon`   -- :class:`ReplicaDaemon`, one node's
-  async session driver (with deadline enforcement and grey shaping);
-* :mod:`~repro.service.health`   -- the grey-failure resilience layer:
+* :mod:`~repro.service.engine`      -- :class:`AsyncWireSyncEngine`, the
+  wire engine with incremental (chunked) stream decode;
+* :mod:`~repro.service.links`       -- :class:`LinkProfile` virtual-time
+  link costing;
+* :mod:`~repro.service.sharding`    -- :class:`KeyShards` key-range
+  sharding and the shared :func:`shard_keys` helper;
+* :mod:`~repro.service.interpreter` -- :class:`Interpreter`, the heap of
+  timed :class:`Job` steps with per-(replica, shard) slots, deadline
+  enforcement and grey shaping;
+* :mod:`~repro.service.health`      -- the grey-failure resilience layer:
   :class:`HealthMonitor` accrual failure detection, adaptive per-peer
   deadlines, :class:`CircuitBreaker` gating and the health-weighted
   gossip draw;
-* :mod:`~repro.service.cluster`  -- :class:`AntiEntropyService` (lockstep
-  and overlap modes), schedules, the synchronous reference executor and
-  the :func:`build_cluster` population builder.
+* :mod:`~repro.service.cluster`     -- :class:`AntiEntropyService`
+  (lockstep and overlap modes), schedules, the synchronous reference
+  executor and the :func:`build_cluster` population builder.
 
 The service's lockstep mode is proven byte-identical to the synchronous
 :class:`~repro.replication.synchronizer.WireSyncEngine` on identical
@@ -35,9 +38,9 @@ from .cluster import (
     gossip_schedule,
     replay_schedule_sync,
 )
-from .daemon import ReplicaDaemon
 from .engine import AsyncWireSyncEngine
 from .health import CircuitBreaker, HealthConfig, HealthMonitor, PeerHealth
+from .interpreter import Interpreter, Job
 from .links import LinkProfile
 from .sharding import KeyShards, shard_keys
 
@@ -47,10 +50,11 @@ __all__ = [
     "CircuitBreaker",
     "HealthConfig",
     "HealthMonitor",
+    "Interpreter",
+    "Job",
     "KeyShards",
     "LinkProfile",
     "PeerHealth",
-    "ReplicaDaemon",
     "RoundMetrics",
     "ServiceReport",
     "build_cluster",

@@ -1,27 +1,29 @@
 """The datacenter-scale anti-entropy service.
 
 :class:`AntiEntropyService` drives gossip rounds over thousands to a
-million simulated replicas on one machine: every replica is a
-:class:`~repro.service.daemon.ReplicaDaemon` on a
-:class:`~repro.sim.scheduler.VirtualTimeLoop`, sessions execute the
-engine's sans-io generator, and virtual time -- not wall time -- advances
-through link latency, bandwidth and retry backoff.
+million simulated replicas on one machine.  Every (pair, shard) part of a
+round is a :class:`~repro.service.interpreter.Job` wrapping one sans-io
+:meth:`~repro.replication.synchronizer.WireSyncEngine.session` generator,
+and one :class:`~repro.service.interpreter.Interpreter` runs them on a
+virtual clock -- not wall time -- that advances through link latency,
+bandwidth, grey shaping and retry backoff.
 
-Two execution modes:
+Two execution modes share that interpreter:
 
-* **lockstep** -- sessions (and shard parts within a session) run strictly
-  sequentially in schedule order.  Because the sans-io generator performs
-  every state mutation, RNG draw and meter update itself, this mode is
-  *byte-identical* to :func:`replay_schedule_sync` driving the synchronous
-  engine over the same schedule, under the full fault matrix.  That is the
-  equivalence proof the scale results stand on.
-* **overlap** (default) -- one asyncio task per (session, shard part),
-  serialized only by per-(replica, shard) locks acquired in ascending
-  replica order (deadlock-free; shards share no key state, so cross-shard
-  parts never contend).  Deterministic for a fixed seed, and
-  convergence-equivalent to lockstep; round wall-clock in virtual time
-  becomes the *longest dependency chain*, not the sum of all sessions --
-  which is what "anti-entropy rounds parallelize across shards" means.
+* **lockstep** -- parts run back to back in schedule order.  Because the
+  sans-io generator performs every state mutation, RNG draw and meter
+  update itself, this mode is *byte-identical* to
+  :func:`replay_schedule_sync` driving the synchronous engine over the
+  same schedule, under the full fault matrix.  That is the equivalence
+  proof the scale results stand on.
+* **overlap** (default) -- a round submits all its parts at once and the
+  interpreter interleaves them by virtual time, serializing only parts
+  that share a (replica, shard) slot, in schedule order (shards share no
+  key state, so cross-shard parts never contend).  Deterministic for a
+  fixed seed, and convergence-equivalent to lockstep; a round's virtual
+  duration becomes its *longest dependency chain*, not the sum of all
+  sessions -- which is what "anti-entropy rounds parallelize across
+  shards" means.
 
 Peer selection is O(1) per replica per round (a draw from the replica's
 connectivity group), never an O(N) reachability scan per node, so a round
@@ -30,23 +32,25 @@ over 10^4-10^6 replicas costs O(N), not O(N^2).
 
 from __future__ import annotations
 
-import asyncio
-import math
 import random
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..core.errors import SessionTimeout
 from ..replication.degradation import DegradationState
-from ..replication.network import FullyConnectedNetwork, NetworkMeter, SimulatedNetwork
-from ..replication.node import MobileNode
+from ..replication.network import (
+    FullyConnectedNetwork,
+    NetworkMeter,
+    SimulatedNetwork,
+    nearest_rank,
+)
+from ..replication.node import MobileNode, replicas_agree
 from ..replication.store import MergeReport
 from ..replication.synchronizer import WireSyncEngine
 from ..replication.tracker import KernelTracker
-from ..sim.scheduler import run_virtual, virtual_time
-from .daemon import ReplicaDaemon
 from .engine import AsyncWireSyncEngine
 from .health import HealthConfig, HealthMonitor
+from .interpreter import Interpreter, Job
 from .links import LinkProfile
 from .sharding import KeyShards, shard_keys
 
@@ -89,20 +93,6 @@ class RoundMetrics:
     breaker_skips: int = 0
     #: Hedged (backup-peer) sessions launched after a primary timeout.
     hedges: int = 0
-
-
-def _percentiles(
-    samples: Sequence[float], quantiles: Sequence[float]
-) -> Dict[float, float]:
-    """Nearest-rank percentiles (deterministic; zeros when empty)."""
-    ordered = sorted(samples)
-    if not ordered:
-        return {q: 0.0 for q in quantiles}
-    last = len(ordered) - 1
-    return {
-        q: ordered[min(last, max(0, math.ceil(q * len(ordered)) - 1))]
-        for q in quantiles
-    }
 
 
 @dataclass
@@ -157,7 +147,7 @@ class ServiceReport:
         self, quantiles: Sequence[float] = (0.5, 0.9, 0.99)
     ) -> Dict[float, float]:
         """Nearest-rank percentiles of per-round virtual durations."""
-        return _percentiles([r.virtual_duration for r in self.rounds], quantiles)
+        return nearest_rank([r.virtual_duration for r in self.rounds], quantiles)
 
     def session_latency_percentiles(
         self, quantiles: Sequence[float] = (0.5, 0.9, 0.99)
@@ -253,10 +243,10 @@ def replay_schedule_sync(
 ) -> MergeReport:
     """Execute ``schedule`` with the synchronous engine driver.
 
-    This is the reference the async service's lockstep mode is proven
-    equal to: same sessions, same order, same per-shard key restriction
-    (via the shared :func:`~repro.service.sharding.shard_keys` helper),
-    so every transport call and RNG draw lines up one-for-one.
+    This is the reference the service's lockstep mode is proven equal
+    to: same sessions, same order, same per-shard key restriction (via
+    the shared :func:`~repro.service.sharding.shard_keys` helper), so
+    every transport call and RNG draw lines up one-for-one.
     """
     shard_map = KeyShards(shards)
     merged = MergeReport()
@@ -310,8 +300,71 @@ def build_cluster(
     return nodes, names
 
 
+class _Part(Job):
+    """One (pair, shard) part of a round, or the hedge of a timed-out one."""
+
+    __slots__ = ("service", "metrics", "first", "second", "shard", "hedge")
+
+    def __init__(
+        self,
+        service: "AntiEntropyService",
+        metrics: RoundMetrics,
+        first: int,
+        second: int,
+        shard: int,
+        deadline: Optional[float],
+        *,
+        hedge: bool = False,
+    ) -> None:
+        nodes = service.nodes
+        super().__init__(
+            ((nodes[first].node_id, shard), (nodes[second].node_id, shard)),
+            deadline=deadline,
+        )
+        self.service = service
+        self.metrics = metrics
+        self.first = first
+        self.second = second
+        self.shard = shard
+        self.hedge = hedge
+
+    def open(self):
+        service = self.service
+        first = service.nodes[self.first].store
+        second = service.nodes[self.second].store
+        part = shard_keys(first, second, service.shards, self.shard)
+        if part is not None and not part:
+            return None
+        return service.engine.session(
+            first, second, keys=part, abortable=self.deadline is not None
+        )
+
+    def close(self, interpreter: Interpreter) -> None:
+        service, metrics, result = self.service, self.metrics, self.result
+        health = service.health
+        if result is None:
+            metrics.empty_parts += 1
+        elif isinstance(result, SessionTimeout):
+            metrics.timeouts += 1
+            health.observe_timeout(self.second, interpreter.now)
+            if service.hedge and not self.hedge:
+                service._hedge(interpreter, self)
+        else:
+            metrics.merge += result
+            if service.checker is not None:
+                service.checker.scan()
+            if health is not None:
+                # Measured from slot acquisition, so the latency fed to
+                # the accrual model is the peer's wire time, never time
+                # queued behind a busy slot (which would make a busy but
+                # healthy cluster look grey).
+                health.observe_success(self.second, interpreter.now - self.started)
+                if self.hedge:
+                    health.hedge_wins += 1
+
+
 class AntiEntropyService:
-    """Asyncio anti-entropy over a population of replica daemons.
+    """Virtual-time anti-entropy over a population of replicas.
 
     Parameters
     ----------
@@ -334,14 +387,14 @@ class AntiEntropyService:
         (the latter is separate from the transport's fault RNG by
         construction, so link timing never perturbs fault schedules).
     lockstep:
-        ``True`` serializes sessions in schedule order -- the mode that
-        is byte-identical to the synchronous reference.  ``False``
-        (default) overlaps sessions under per-(replica, shard) locks.
+        ``True`` runs parts back to back in schedule order -- the mode
+        that is byte-identical to the synchronous reference.  ``False``
+        (default) overlaps them, serialized only per (replica, shard).
     checker:
         Optional :class:`~repro.contracts.ContractChecker` (duck-typed:
-        anything with ``scan()``).  Every daemon scans it after each
-        session it initiates, and the service scans once more at the end
-        of every round -- contracts are enforced inline with gossip.
+        anything with ``scan()``), scanned after every completed session
+        and once more at the end of every round -- contracts are enforced
+        inline with gossip.
     health:
         Enables the grey-failure resilience layer: pass ``True`` for the
         default :class:`~repro.service.health.HealthConfig` or a config
@@ -374,10 +427,7 @@ class AntiEntropyService:
         hedge: bool = False,
     ) -> None:
         self.checker = checker
-        self.daemons = [
-            ReplicaDaemon(node, index, checker=checker)
-            for index, node in enumerate(nodes)
-        ]
+        self.nodes: List[MobileNode] = list(nodes)
         self.engine = engine if engine is not None else AsyncWireSyncEngine()
         self.shards = KeyShards(shards)
         self.link = link if link is not None else LinkProfile()
@@ -396,9 +446,7 @@ class AntiEntropyService:
         #: (``None`` without a transport or degradation plan).
         transport = self.engine.transport
         self.degradation: Optional[DegradationState] = (
-            transport.ensure_degradation(
-                [daemon.node.node_id for daemon in self.daemons]
-            )
+            transport.ensure_degradation([node.node_id for node in self.nodes])
             if transport is not None
             else None
         )
@@ -407,7 +455,7 @@ class AntiEntropyService:
 
     @property
     def network(self) -> Optional[SimulatedNetwork]:
-        return self.daemons[0].node.network if self.daemons else None
+        return self.nodes[0].network if self.nodes else None
 
     @property
     def meter(self) -> NetworkMeter:
@@ -417,23 +465,7 @@ class AntiEntropyService:
 
     def converged(self, keys: Optional[Iterable[str]] = None) -> bool:
         """True when every live replica holds the same siblings everywhere."""
-        live = [daemon.node for daemon in self.daemons if daemon.node.alive]
-        if not live:
-            return True
-        if keys is None:
-            spanned = set()
-            for node in live:
-                spanned |= set(node.store.keys())
-            keys = spanned
-        for key in sorted(keys):
-            reference = None
-            for node in live:
-                values = sorted(repr(value) for value in node.store.get(key))
-                if reference is None:
-                    reference = values
-                elif values != reference:
-                    return False
-        return True
+        return replicas_agree(self.nodes, keys)
 
     # -- scheduling --------------------------------------------------------
 
@@ -448,13 +480,13 @@ class AntiEntropyService:
             return [
                 index
                 for index in indices
-                if not transport.is_crashed(self.daemons[index].node.node_id)
+                if not transport.is_crashed(self.nodes[index].node_id)
             ]
 
         if type(network) is FullyConnectedNetwork:
             members = uncrashed(live)
             return {index: members for index in members}
-        index_of = {self.daemons[index].node.node_id: index for index in live}
+        index_of = {self.nodes[index].node_id: index for index in live}
         groups: Dict[int, List[int]] = {}
         for component in network.partitions(list(index_of)):
             members = uncrashed(
@@ -466,7 +498,7 @@ class AntiEntropyService:
 
     def _schedule_round(self) -> List[Tuple[int, int]]:
         """One seeded gossip round: each live replica picks one peer, O(1)."""
-        live = [daemon.index for daemon in self.daemons if daemon.node.alive]
+        live = [index for index, node in enumerate(self.nodes) if node.alive]
         if len(live) < 2:
             return []
         groups = self._peer_groups(live)
@@ -491,164 +523,90 @@ class AntiEntropyService:
 
     # -- execution ---------------------------------------------------------
 
-    async def _run_part(
+    def _submit(
         self,
-        first: ReplicaDaemon,
-        second: ReplicaDaemon,
-        shard: int,
-        deadline: Optional[float] = None,
-    ) -> Optional[MergeReport]:
-        part = shard_keys(first.node.store, second.node.store, self.shards, shard)
-        if part is not None and not part:
-            return None
-        start = virtual_time()
-        report = await first.drive_session(
-            second,
-            self.engine,
-            keys=part,
-            link=self.link,
-            link_rng=self._link_rng,
-            deadline=deadline,
-            degradation=self.degradation,
-        )
-        if self.health is not None:
-            # Observed here -- with the locks already held -- so the
-            # latency fed to the accrual model is the peer's wire time,
-            # not local lock-queueing delay (which would make a busy but
-            # healthy cluster look grey).
-            self.health.observe_success(second.index, virtual_time() - start)
-        return report
-
-    async def _run_part_locked(
-        self,
-        first: ReplicaDaemon,
-        second: ReplicaDaemon,
-        shard: int,
-        deadline: Optional[float] = None,
-    ) -> Optional[MergeReport]:
-        low, high = (first, second) if first.index < second.index else (second, first)
-        async with low.lock(shard):
-            async with high.lock(shard):
-                return await self._run_part(first, second, shard, deadline)
-
-    async def _run_hedge(
-        self,
-        first: ReplicaDaemon,
-        primary: ReplicaDaemon,
-        shard: int,
+        interpreter: Interpreter,
         metrics: RoundMetrics,
-    ) -> Optional[MergeReport]:
-        """Launch one backup session after a primary timeout.
+        first: int,
+        second: int,
+        shard: int,
+    ) -> None:
+        """Submit one (pair, shard) part under the defensive-driving policy.
 
-        Runs strictly *after* the timed-out session released its locks
-        (lock acquisition stays in ascending replica order, so hedging
-        cannot deadlock the overlap mode).  The backup peer is the
-        healthiest reachable alternative; soundness rests on sync
-        idempotence -- a hedge can only move knowledge, never diverge.
+        Without the health layer the part simply runs.  With it, the
+        peer's circuit gates the part and its adaptive deadline bounds
+        it; a timeout feeds the accrual detector and -- with hedging on
+        -- launches one backup part (:meth:`_hedge`).
         """
         health = self.health
+        deadline = None
+        if health is not None:
+            if not health.allow(second, interpreter.now):
+                metrics.breaker_skips += 1
+                return
+            deadline = health.deadline(second)
+        interpreter.submit(_Part(self, metrics, first, second, shard, deadline))
+
+    def _hedge(self, interpreter: Interpreter, primary: _Part) -> None:
+        """Submit one backup part after ``primary`` timed out.
+
+        It is submitted once the timed-out part released its slots, so it
+        queues behind every part already waiting on them.  The backup
+        peer is the healthiest reachable alternative; soundness rests on
+        sync idempotence -- a hedge can only move knowledge, never
+        diverge.
+        """
+        health = self.health
+        initiator = self.nodes[primary.first]
         candidates = [
-            daemon.index
-            for daemon in self.daemons
-            if daemon.node.alive and first.node.can_reach(daemon.node)
+            index
+            for index, node in enumerate(self.nodes)
+            if node.alive and initiator.can_reach(node)
         ]
-        backup_index = health.hedge_candidate(
-            candidates, (first.index, primary.index)
-        )
-        if backup_index is None:
-            return None
+        backup = health.hedge_candidate(candidates, (primary.first, primary.second))
+        if backup is None:
+            return
         health.hedges += 1
-        metrics.hedges += 1
-        backup = self.daemons[backup_index]
-        deadline = health.deadline(backup_index)
-        runner = self._run_part if self.lockstep else self._run_part_locked
-        try:
-            report = await runner(first, backup, shard, deadline)
-        except SessionTimeout:
-            metrics.timeouts += 1
-            health.observe_timeout(backup_index, virtual_time())
-            return None
-        if report is None:
-            metrics.empty_parts += 1
-        else:
-            health.hedge_wins += 1
-        return report
+        primary.metrics.hedges += 1
+        interpreter.submit(
+            _Part(
+                self,
+                primary.metrics,
+                primary.first,
+                backup,
+                primary.shard,
+                health.deadline(backup),
+                hedge=True,
+            )
+        )
 
-    async def _run_job(
-        self,
-        first: ReplicaDaemon,
-        second: ReplicaDaemon,
-        shard: int,
-        metrics: RoundMetrics,
-    ) -> Optional[MergeReport]:
-        """One (pair, shard) part under the defensive-driving policy.
-
-        Without the health layer this is exactly the old direct call.
-        With it: the peer's circuit gates the session, its adaptive
-        deadline bounds it, a timeout feeds the accrual detector and --
-        when hedging is on -- triggers one backup session against the
-        healthiest other peer.
-        """
-        health = self.health
-        runner = self._run_part if self.lockstep else self._run_part_locked
-        if health is None:
-            report = await runner(first, second, shard)
-            if report is None:
-                metrics.empty_parts += 1
-            return report
-        if not health.allow(second.index, virtual_time()):
-            metrics.breaker_skips += 1
-            return None
-        deadline = health.deadline(second.index)
-        try:
-            report = await runner(first, second, shard, deadline)
-        except SessionTimeout:
-            metrics.timeouts += 1
-            health.observe_timeout(second.index, virtual_time())
-            if self.hedge:
-                return await self._run_hedge(first, second, shard, metrics)
-            return None
-        if report is None:
-            metrics.empty_parts += 1
-        return report
-
-    async def _run_round(
-        self, number: int, pairs: Sequence[Tuple[int, int]]
+    def _run_round(
+        self, interpreter: Interpreter, number: int, pairs: Sequence[Tuple[int, int]]
     ) -> RoundMetrics:
-        loop = asyncio.get_running_loop()
         metrics = RoundMetrics(number=number)
         if self.engine.history is not None:
             self.engine.history.mark_round(number)
-        start = loop.time()
+        start = interpreter.now
         before_messages, before_bytes = self.meter.snapshot()
-        jobs: List[Tuple[ReplicaDaemon, ReplicaDaemon, int]] = []
+        parts: List[Tuple[int, int, int]] = []
         for initiator, peer in pairs:
-            first, second = self.daemons[initiator], self.daemons[peer]
-            if not first.node.can_reach(second.node):
+            if not self.nodes[initiator].can_reach(self.nodes[peer]):
                 metrics.skipped += 1
                 continue
             metrics.exchanges += 1
             for shard in range(self.shards.count):
-                jobs.append((first, second, shard))
-        if self.lockstep:
-            results: List[Optional[MergeReport]] = []
-            for first, second, shard in jobs:
-                results.append(await self._run_job(first, second, shard, metrics))
-        else:
-            tasks = [
-                loop.create_task(self._run_job(first, second, shard, metrics))
-                for first, second, shard in jobs
-            ]
-            results = [await task for task in tasks]
-        for report in results:
-            if report is not None:
-                metrics.merge += report
+                parts.append((initiator, peer, shard))
+        for initiator, peer, shard in parts:
+            self._submit(interpreter, metrics, initiator, peer, shard)
+            if self.lockstep:
+                interpreter.run()
+        interpreter.run()
         if self.health is not None:
             self.health.decay_round()
         after_messages, after_bytes = self.meter.snapshot()
         metrics.messages = after_messages - before_messages
         metrics.bytes_sent = after_bytes - before_bytes
-        metrics.virtual_duration = loop.time() - start
+        metrics.virtual_duration = interpreter.now - start
         return metrics
 
     def run(
@@ -660,7 +618,7 @@ class AntiEntropyService:
         advance_network: bool = True,
         on_round: Optional[Callable[[RoundMetrics], None]] = None,
     ) -> ServiceReport:
-        """Run gossip rounds on a fresh virtual-time loop.
+        """Run gossip rounds on a fresh virtual clock.
 
         Either pass an explicit ``schedule`` (its length bounds the run)
         or ``max_rounds`` to gossip on the service's seeded internal
@@ -671,41 +629,37 @@ class AntiEntropyService:
         if schedule is None and max_rounds is None:
             raise ValueError("pass either schedule or max_rounds")
         total = len(schedule) if schedule is not None else max_rounds
+        interpreter = Interpreter(
+            link=self.link,
+            link_rng=self._link_rng,
+            meter=self.meter,
+            degradation=self.degradation,
+            transport=self.engine.transport,
+        )
         run_rounds: List[RoundMetrics] = []
-
-        async def main() -> Optional[int]:
-            for daemon in self.daemons:
-                daemon.ensure_locks(self.shards.count)
-            converged_after: Optional[int] = None
-            for offset in range(total):
-                pairs = (
-                    list(schedule[offset])
-                    if schedule is not None
-                    else self._schedule_round()
-                )
-                metrics = await self._run_round(len(self.rounds) + 1, pairs)
-                if self.checker is not None:
-                    self.checker.scan()
-                metrics.converged = self.converged()
-                if metrics.converged and converged_after is None:
-                    converged_after = metrics.number
-                run_rounds.append(metrics)
-                self.rounds.append(metrics)
-                if on_round is not None:
-                    on_round(metrics)
-                if advance_network and self.network is not None:
-                    self.network.advance()
-                if until_converged and metrics.converged:
-                    break
-            return converged_after
-
-        converged_after, virtual_seconds = run_virtual(main())
+        converged_after: Optional[int] = None
+        for offset in range(total):
+            pairs = schedule[offset] if schedule is not None else self._schedule_round()
+            metrics = self._run_round(interpreter, len(self.rounds) + 1, pairs)
+            if self.checker is not None:
+                self.checker.scan()
+            metrics.converged = self.converged()
+            if metrics.converged and converged_after is None:
+                converged_after = metrics.number
+            run_rounds.append(metrics)
+            self.rounds.append(metrics)
+            if on_round is not None:
+                on_round(metrics)
+            if advance_network and self.network is not None:
+                self.network.advance()
+            if until_converged and metrics.converged:
+                break
         return ServiceReport(
-            replicas=len(self.daemons),
+            replicas=len(self.nodes),
             shards=self.shards.count,
             rounds=run_rounds,
             converged_after=converged_after,
-            virtual_seconds=virtual_seconds,
+            virtual_seconds=interpreter.now,
             meter=self.meter,
             health=self.health.counters() if self.health is not None else None,
         )

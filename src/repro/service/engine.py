@@ -1,13 +1,13 @@
-"""The service-side sync engine: incremental decode on the async path.
+"""The service-side sync engine: incremental decode on the service path.
 
 :class:`AsyncWireSyncEngine` is a :class:`~repro.replication.synchronizer.
 WireSyncEngine` whose stream-decode hook feeds arriving bodies through the
 kernel's :class:`~repro.kernel.stream.IncrementalStreamDecoder` in fixed
-size chunks, the way an asyncio protocol would hand frames up as they land
-on the socket -- instead of requiring the whole body in one buffer first.
-Everything else (merge order, retry RNG, meter accounting, fault handling)
-is inherited unchanged, which is what makes the async service bit-for-bit
-comparable to the synchronous engine on identical schedules.
+size chunks, the way a socket reader would hand frames up as they land --
+instead of requiring the whole body in one buffer first.  Everything else
+(merge order, retry RNG, meter accounting, fault handling) is inherited
+unchanged, which is what makes the service bit-for-bit comparable to the
+synchronous engine on identical schedules.
 """
 
 from __future__ import annotations
@@ -18,28 +18,23 @@ from ..replication.synchronizer import WireSyncEngine
 __all__ = ["AsyncWireSyncEngine"]
 
 
+#: Size of the simulated network reads fed to the incremental decoder (a
+#: typical socket read).
+CHUNK_BYTES = 4096
+
+
 class AsyncWireSyncEngine(WireSyncEngine):
-    """Wire sync engine decoding batched streams incrementally.
+    """Wire sync engine decoding batched streams incrementally."""
 
-    Parameters
-    ----------
-    chunk_bytes:
-        Size of the simulated network reads fed to the incremental
-        decoder (default 4096, a typical socket read).
-    """
-
-    def __init__(self, *, chunk_bytes: int = 4096, **kwargs) -> None:
-        if chunk_bytes <= 0:
-            raise ValueError(f"chunk size must be positive, got {chunk_bytes}")
+    def __init__(self, **kwargs) -> None:
         super().__init__(**kwargs)
-        self.chunk_bytes = chunk_bytes
         #: Total chunks fed through incremental decoders (observability).
         self.chunks_fed = 0
 
     def _decode_stream(self, body) -> ClockStream:
         decoder = IncrementalStreamDecoder()
         view = memoryview(body)
-        for start in range(0, len(view), self.chunk_bytes):
-            decoder.feed(view[start : start + self.chunk_bytes])
+        for start in range(0, len(view), CHUNK_BYTES):
+            decoder.feed(view[start : start + CHUNK_BYTES])
             self.chunks_fed += 1
         return decoder.finish(intern=self.intern)

@@ -2,9 +2,9 @@
 
 :class:`LinkProfile` turns one transfer leg (N messages, B bytes) into a
 virtual-time delay: propagation latency (optionally jittered) plus
-serialization time at the configured bandwidth, optionally stretched by
-scheduled bandwidth-throttling windows (a congestion event pinned to the
-virtual clock).  Jitter draws come from a *dedicated* RNG owned by the
+serialization time at the configured bandwidth (cluster-wide throttling
+is a grey mode of :class:`~repro.replication.degradation.DegradationPlan`,
+applied on top).  Jitter draws come from a *dedicated* RNG owned by the
 service -- never from the transport's fault RNG -- so enabling or tuning
 link timing cannot shift the fault schedule relative to the synchronous
 reference path.
@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional
 
 __all__ = ["LinkProfile"]
 
@@ -33,19 +33,11 @@ class LinkProfile:
     jitter:
         Fractional uniform jitter on the latency term: the delay is
         scaled by ``1 + jitter * u`` with ``u ~ U[0, 1)``.
-    throttles:
-        Scheduled bandwidth-throttling windows ``(start, end, divisor)``
-        in virtual seconds: while ``start <= now < end`` the effective
-        bandwidth is divided by ``divisor`` (the serialization term grows
-        accordingly).  Callers that know the virtual clock pass ``now``
-        to :meth:`leg_delay`; without it the windows are ignored, which
-        keeps the profile usable by clock-less drivers.
     """
 
     latency: float = 0.0
     bandwidth: Optional[float] = None
     jitter: float = 0.0
-    throttles: Tuple[Tuple[float, float, float], ...] = ()
 
     def __post_init__(self) -> None:
         if self.latency < 0:
@@ -54,35 +46,12 @@ class LinkProfile:
             raise ValueError(f"bandwidth must be positive, got {self.bandwidth}")
         if self.jitter < 0:
             raise ValueError(f"jitter must be >= 0, got {self.jitter}")
-        for window in self.throttles:
-            if len(window) != 3 or window[0] < 0 or window[1] <= window[0]:
-                raise ValueError(
-                    f"throttle windows are (start, end, divisor) with "
-                    f"0 <= start < end, got {window!r}"
-                )
-            if window[2] < 1.0:
-                raise ValueError(
-                    f"a throttle divisor must be >= 1, got {window[2]}"
-                )
 
-    def throttle_divisor(self, now: float) -> float:
-        """The bandwidth divisor in force at virtual time ``now``."""
-        divisor = 1.0
-        for start, end, window_divisor in self.throttles:
-            if start <= now < end:
-                divisor *= window_divisor
-        return divisor
-
-    def leg_delay(
-        self, nbytes: int, rng: random.Random, *, now: Optional[float] = None
-    ) -> float:
+    def leg_delay(self, nbytes: int, rng: random.Random) -> float:
         """Virtual seconds one transfer leg of ``nbytes`` occupies the wire."""
         delay = self.latency
         if self.jitter and self.latency:
             delay *= 1.0 + self.jitter * rng.random()
         if self.bandwidth is not None:
-            bandwidth = self.bandwidth
-            if now is not None and self.throttles:
-                bandwidth /= self.throttle_divisor(now)
-            delay += nbytes / bandwidth
+            delay += nbytes / self.bandwidth
         return delay

@@ -6,13 +6,13 @@ of key ``k`` reads and writes only ``k``'s own state on the two stores
 replication fork touch nothing else).  A whole-store sync is therefore
 *exactly* equal to syncing each shard of the key space separately, as long
 as each shard's exchanges stay ordered -- which is what lets the
-datacenter-scale service parallelize one logical round across worker event
-loops, one per shard, with no cross-shard coordination at all.
+datacenter-scale service parallelize one logical round across shards
+with no cross-shard coordination at all.
 
 :class:`KeyShards` defines the shards as contiguous ranges of the hashed
 key space (CRC32, so the assignment is stable across processes, Python
 versions and ``PYTHONHASHSEED``), and :func:`shard_keys` computes the
-shard-restricted key list both the async service and its synchronous
+shard-restricted key list both the service and its synchronous
 reference executor feed to ``WireSyncEngine.sync(..., keys=...)`` -- one
 shared helper, so the two paths cannot drift.
 """

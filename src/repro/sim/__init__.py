@@ -7,8 +7,9 @@
 * :mod:`~repro.sim.exhaustive` -- exhaustive model checking of all small
   executions (invariants + Proposition 5.1).
 * :mod:`~repro.sim.metrics` -- statistics containers used by the benchmarks.
-* :mod:`~repro.sim.scheduler` -- the discrete-event scheduler: a virtual-time
-  ``asyncio`` event loop (no real sleeping) driving :mod:`repro.service`.
+
+The virtual-time service simulation lives in :mod:`repro.service`, driven
+by its discrete-event :class:`~repro.service.interpreter.Interpreter`.
 """
 
 from ..kernel.adapters import (
@@ -26,7 +27,6 @@ from ..kernel.adapters import (
 )
 from .exhaustive import ExhaustiveReport, explore
 from .metrics import ReductionAccumulator, Summary, summarize, SweepTable
-from .scheduler import VirtualTimeLoop, run_virtual
 from .runner import AgreementReport, LockstepRunner, SizeSample
 from .trace import OpKind, Operation, Trace, validate_trace
 from .workload import (
@@ -63,8 +63,6 @@ __all__ = [
     "default_adapters",
     "ExhaustiveReport",
     "explore",
-    "VirtualTimeLoop",
-    "run_virtual",
     "Summary",
     "summarize",
     "ReductionAccumulator",

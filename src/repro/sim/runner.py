@@ -13,8 +13,7 @@ clock family through the :class:`~repro.kernel.protocol.CausalityClock`
 protocol alone, so one lockstep replay doubles as a cross-family comparison
 matrix; the specialised adapters (oracle, Frontier-backed stamps, the
 identifier-authority VV baseline, the lossy contrast clocks) are retained
-for what the protocol deliberately does not expose.  Importing adapter
-names from this module still works but emits a :class:`DeprecationWarning`.
+for what the protocol deliberately does not expose.
 
 The per-mechanism :class:`AgreementReport` records exact agreement counts
 plus the two interesting error kinds: *missed conflicts* (mechanism says
@@ -27,7 +26,6 @@ experiments.
 from __future__ import annotations
 
 import statistics
-import warnings
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -37,47 +35,10 @@ from ..kernel import adapters as _adapters
 from .trace import Operation, Trace
 
 __all__ = [
-    "MechanismAdapter",
-    "CausalAdapter",
-    "RefCausalAdapter",
-    "StampAdapter",
-    "RerootingStampAdapter",
-    "DynamicVVAdapter",
-    "ITCAdapter",
-    "PlausibleAdapter",
-    "LamportAdapter",
     "AgreementReport",
     "SizeSample",
     "LockstepRunner",
-    "default_adapters",
 ]
-
-#: Adapter names that moved to :mod:`repro.kernel.adapters`; accessed here
-#: they still resolve (via module ``__getattr__``) but warn.
-_MOVED_TO_KERNEL = (
-    "MechanismAdapter",
-    "CausalAdapter",
-    "RefCausalAdapter",
-    "StampAdapter",
-    "RerootingStampAdapter",
-    "DynamicVVAdapter",
-    "ITCAdapter",
-    "PlausibleAdapter",
-    "LamportAdapter",
-    "default_adapters",
-)
-
-
-def __getattr__(name: str):
-    if name in _MOVED_TO_KERNEL:
-        warnings.warn(
-            f"importing {name} from repro.sim.runner is deprecated; "
-            f"import it from repro.kernel.adapters (or repro.sim) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return getattr(_adapters, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass

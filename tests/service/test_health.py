@@ -23,12 +23,12 @@ from repro.service import (
     CircuitBreaker,
     HealthConfig,
     HealthMonitor,
+    Interpreter,
+    Job,
     LinkProfile,
     PeerHealth,
-    ReplicaDaemon,
     build_cluster,
 )
-from repro.sim.scheduler import run_virtual
 
 
 def _config(**overrides):
@@ -328,68 +328,61 @@ def _digest(nodes):
     ]
 
 
+def _drive(nodes, link, deadline, link_seed=1):
+    """Run one session between the two nodes; returns (job, virtual time)."""
+    first, second = nodes
+    session = AsyncWireSyncEngine().session(
+        first.store, second.store, abortable=deadline is not None
+    )
+    job = Job(((first.node_id, 0), (second.node_id, 0)), session, deadline=deadline)
+    interpreter = Interpreter(link=link, link_rng=random.Random(link_seed))
+    interpreter.submit(job)
+    return job, interpreter.run()
+
+
 class TestDeadlineDriving:
-    def _daemons(self, seed=11):
-        nodes, _ = build_cluster(2, keys=3, seed=seed)
-        engine = AsyncWireSyncEngine()
-        daemons = [ReplicaDaemon(node, index) for index, node in enumerate(nodes)]
-        return nodes, engine, daemons
-
     def test_session_timeout_rolls_both_replicas_back(self):
-        nodes, engine, daemons = self._daemons()
-        link = LinkProfile(latency=1.0)
+        nodes, _ = build_cluster(2, keys=3, seed=11)
         before = _digest(nodes)
-
-        async def main():
-            with pytest.raises(SessionTimeout) as excinfo:
-                await daemons[0].drive_session(
-                    daemons[1],
-                    engine,
-                    link=link,
-                    link_rng=random.Random(1),
-                    deadline=0.5,
-                )
-            return excinfo.value
-
-        error, elapsed = run_virtual(main())
+        job, elapsed = _drive(nodes, LinkProfile(latency=1.0), deadline=0.5)
         assert _digest(nodes) == before  # never half-merges
+        error = job.result
+        assert isinstance(error, SessionTimeout)
         assert error.initiator == nodes[0].node_id
         assert error.peer == nodes[1].node_id
         assert elapsed == pytest.approx(0.5)  # the timeout costs honest time
 
     def test_generous_deadline_completes_normally(self):
-        nodes, engine, daemons = self._daemons()
-        link = LinkProfile(latency=0.01)
-
-        async def main():
-            return await daemons[0].drive_session(
-                daemons[1],
-                engine,
-                link=link,
-                link_rng=random.Random(1),
-                deadline=100.0,
-            )
-
-        report, _ = run_virtual(main())
-        assert report is not None
+        nodes, _ = build_cluster(2, keys=3, seed=11)
+        job, _ = _drive(nodes, LinkProfile(latency=0.01), deadline=100.0)
+        assert job.result is not None
+        assert not isinstance(job.result, SessionTimeout)
         assert _digest([nodes[0]]) != []
 
     def test_abortable_equals_plain_session_outcome(self):
-        plain_nodes, engine_a, plain = self._daemons(seed=21)
-        bounded_nodes, engine_b, bounded = self._daemons(seed=21)
-
-        async def run(daemons, engine, deadline):
-            return await daemons[0].drive_session(
-                daemons[1],
-                engine,
-                link=LinkProfile(),
-                link_rng=random.Random(2),
-                deadline=deadline,
-            )
-
-        run_virtual(run(plain, engine_a, None))
-        run_virtual(run(bounded, engine_b, 1e9))
+        plain_nodes, _ = build_cluster(2, keys=3, seed=21)
+        bounded_nodes, _ = build_cluster(2, keys=3, seed=21)
+        _drive(plain_nodes, LinkProfile(), deadline=None, link_seed=2)
+        _drive(bounded_nodes, LinkProfile(), deadline=1e9, link_seed=2)
         assert _digest(plain_nodes) == _digest(bounded_nodes)
+
+    def test_queued_session_reports_only_its_wire_time(self):
+        # Two sessions share peer 1's slot; the second waits out the first.
+        # The accrual model must see each session's own wire time, not the
+        # queueing delay in front of it (which would make a busy but
+        # healthy cluster look grey).
+        nodes, _ = build_cluster(3, keys=3, seed=4)
+        service = AntiEntropyService(
+            nodes,
+            link=LinkProfile(latency=1.0),
+            health=HealthConfig(min_deadline=1e9, max_deadline=1e9),
+        )
+        report = service.run(schedule=[[(0, 1), (2, 1)]], until_converged=False)
+        first, second = service.health.peer(1).history
+        assert 0 < first <= 2.0 and 0 < second <= 2.0  # at most two 1s legs
+        # Serialized on the shared slot, the round lasts both sessions, yet
+        # the queued one reported only its own legs.
+        assert report.rounds[0].virtual_duration == pytest.approx(first + second)
 
 
 class TestServiceGreyIntegration:
