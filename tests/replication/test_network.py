@@ -9,6 +9,7 @@ from repro.replication.network import (
     FullyConnectedNetwork,
     LatencyPercentiles,
     NetworkMeter,
+    nearest_rank,
     NodePosition,
     PartitionSchedule,
     PartitionedNetwork,
@@ -185,3 +186,22 @@ class TestLatencyPercentiles:
         result = meter.latency_percentiles()
         assert result[0.5] == 1.5
         assert sorted(result) == [0.5, 0.9, 0.99]
+
+
+class TestNearestRank:
+    """The one percentile helper the meter and the service report share."""
+
+    def test_matches_the_meter(self):
+        samples = [0.4, 0.1, 0.9, 0.3, 0.7, 0.2]
+        meter = NetworkMeter()
+        for value in samples:
+            meter.record_transfer_latency(value)
+        quantiles = (0.1, 0.5, 0.9, 0.99)
+        assert nearest_rank(samples, quantiles) == meter.latency_percentiles(quantiles)
+        assert nearest_rank(samples, quantiles).samples == len(samples)
+
+    def test_no_samples_give_a_typed_empty_result(self):
+        result = nearest_rank([], (0.5, 0.99))
+        assert isinstance(result, LatencyPercentiles)
+        assert result.empty
+        assert result == {0.5: 0.0, 0.99: 0.0}

@@ -6,7 +6,7 @@ import pytest
 
 from repro.core.errors import ReplicationError
 from repro.replication.network import FullyConnectedNetwork, PartitionedNetwork
-from repro.replication.node import MobileNode
+from repro.replication.node import MobileNode, replicas_agree
 from repro.replication.synchronizer import AntiEntropy
 
 
@@ -141,3 +141,39 @@ class TestAntiEntropy:
         gossip = AntiEntropy(nodes)
         gossip.run_round()
         assert gossip.converged()
+
+
+class TestReplicasAgree:
+    """The one convergence check both gossip drivers answer with."""
+
+    def test_divergent_key_is_reported_until_synced(self):
+        nodes = _population(FullyConnectedNetwork(), 3)
+        nodes[0].write("k", 1)
+        assert not replicas_agree(nodes)
+        nodes[0].sync_with(nodes[1])
+        nodes[1].sync_with(nodes[2])
+        assert replicas_agree(nodes)
+
+    def test_only_the_named_keys_are_checked(self):
+        nodes = _population(FullyConnectedNetwork(), 2)
+        nodes[0].write("stale", 1)
+        assert replicas_agree(nodes, keys=["other"])
+        assert not replicas_agree(nodes, keys=["stale"])
+
+    def test_crashed_nodes_are_ignored(self):
+        nodes = _population(FullyConnectedNetwork(), 3)
+        nodes[2].write("k", 1)
+        nodes[2].crash()
+        assert replicas_agree(nodes)
+        assert replicas_agree([nodes[2]])
+
+    def test_both_drivers_share_the_check(self):
+        from repro.service import AntiEntropyService, build_cluster
+
+        nodes, keys = build_cluster(4, keys=3, seed=2)
+        gossip = AntiEntropy(nodes, rng=random.Random(1))
+        service = AntiEntropyService(nodes)
+        assert gossip.converged() == service.converged() == replicas_agree(nodes)
+        assert not gossip.converged()
+        service.run(max_rounds=20)
+        assert gossip.converged(keys) and service.converged(keys)

@@ -1,12 +1,17 @@
 """Tests for the discrete-event interpreter (:mod:`repro.service.interpreter`)."""
 
+import ast
 import random
 import time
+from pathlib import Path
 
 import pytest
 
-from repro.replication.synchronizer import SleepEffect
-from repro.service import Interpreter, Job
+import repro
+from repro.core.errors import SessionTimeout
+from repro.replication.network import NetworkMeter
+from repro.replication.synchronizer import SessionAbort, SleepEffect, TransferEffect
+from repro.service import Interpreter, Job, LinkProfile
 
 
 def sleeps(*seconds):
@@ -101,3 +106,89 @@ def test_a_job_with_nothing_to_run_releases_its_slots():
     assert run_jobs(empty, after) == pytest.approx(1.0)
     assert empty.result is None
     assert after.started == 0.0
+
+
+def test_the_clock_starts_at_zero():
+    interpreter = Interpreter()
+    assert interpreter.now == 0.0
+    assert interpreter.run() == 0.0
+
+
+def test_waits_within_one_session_accumulate():
+    job = Job((("a", 0), ("b", 0)), sleeps(*[0.5] * 1000))
+    assert run_jobs(job) == pytest.approx(500.0)
+
+
+def test_the_session_return_value_becomes_the_job_result():
+    job = Job((("a", 0), ("b", 0)), sleeps(1.0))
+    run_jobs(job)
+    assert job.result == "done"
+    assert job.started == 0.0
+
+
+def test_a_missed_deadline_spends_the_budget_then_aborts_the_session():
+    aborted = []
+
+    def session():
+        try:
+            yield SleepEffect(1.0)
+            yield SleepEffect(5.0)
+        except SessionAbort:
+            aborted.append(True)
+            raise
+        return "done"
+
+    job = Job((("a", 0), ("b", 0)), session(), deadline=3.0)
+    assert run_jobs(job) == pytest.approx(3.0)
+    assert aborted == [True]
+    assert isinstance(job.result, SessionTimeout)
+    assert (job.result.initiator, job.result.peer) == ("a", "b")
+
+
+def test_a_queued_job_starts_when_the_holder_of_its_slot_ends():
+    log = []
+    holder = Recorded(log, "holder", (("a", 0), ("b", 0)), 2.0)
+    queued = Recorded(log, "queued", (("b", 0), ("c", 0)), 1.0)
+    other_shard = Recorded(log, "other", (("b", 1), ("c", 1)), 1.0)
+    assert run_jobs(holder, queued, other_shard) == pytest.approx(3.0)
+    assert log == [("other", 0.0, 1.0), ("holder", 0.0, 2.0), ("queued", 2.0, 3.0)]
+
+
+def test_transfer_legs_are_priced_by_the_link_and_metered():
+    def session():
+        yield TransferEffect("a", "b", 1, 100)
+        yield TransferEffect("b", "a", 1, 300)
+
+    meter = NetworkMeter()
+    interpreter = Interpreter(link=LinkProfile(latency=1.0, bandwidth=100.0), meter=meter)
+    interpreter.submit(Job((("a", 0), ("b", 0)), session()))
+    assert interpreter.run() == pytest.approx(6.0)
+    assert meter.transfer_latencies == pytest.approx([2.0, 4.0])
+
+
+def test_close_may_submit_a_follow_up_job():
+    log = []
+
+    class Chained(Recorded):
+        def close(self, interpreter):
+            super().close(interpreter)
+            interpreter.submit(Recorded(log, "follow-up", self.slots, 1.0))
+
+    assert run_jobs(Chained(log, "first", (("a", 0), ("b", 0)), 2.0)) == pytest.approx(3.0)
+    assert log == [("first", 0.0, 2.0), ("follow-up", 2.0, 3.0)]
+
+
+def test_the_library_imports_no_asyncio():
+    package = Path(repro.__file__).parent
+    importers = []
+    for path in sorted(package.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] == "asyncio" for name in names):
+                importers.append(path.relative_to(package).as_posix())
+    assert importers == []

@@ -2,6 +2,9 @@
 
 import pytest
 
+import repro.kernel.adapters as kernel_adapters
+import repro.sim
+import repro.sim.runner as runner
 from repro.core.order import Ordering
 from repro.kernel.adapters import (
     CausalAdapter,
@@ -242,3 +245,32 @@ class TestLockstepRunner:
                 assert pair[0] < pair[1]  # canonical storage
                 assert pair in index[pair[0]]
                 assert pair in index[pair[1]]
+
+
+@pytest.mark.parametrize(
+    "name",
+    [
+        "MechanismAdapter",
+        "CausalAdapter",
+        "RefCausalAdapter",
+        "StampAdapter",
+        "RerootingStampAdapter",
+        "DynamicVVAdapter",
+        "ITCAdapter",
+        "PlausibleAdapter",
+        "LamportAdapter",
+        "default_adapters",
+    ],
+)
+def test_adapters_moved_out_of_the_runner(name):
+    # The kernel owns the adapters; the runner module, where they once
+    # lived, no longer resolves them.
+    assert name in kernel_adapters.__all__
+    assert not hasattr(runner, name)
+
+
+def test_repro_sim_reexports_the_kernel_adapters():
+    reexported = [name for name in kernel_adapters.__all__ if hasattr(repro.sim, name)]
+    assert "StampAdapter" in reexported and "default_adapters" in reexported
+    for name in reexported:
+        assert getattr(repro.sim, name) is getattr(kernel_adapters, name)
