@@ -1003,23 +1003,66 @@ class AntiEntropy:
         for key in oversized:
             self.compact_key(key)
 
+    @staticmethod
+    def _common_knowledge(
+        key: str, holders: Sequence[MobileNode]
+    ) -> Optional[List[KeyState]]:
+        """The holders' states of ``key`` when they share common knowledge.
+
+        That is: every holder still kernel-tracks the key, at one shared
+        epoch, with identical sibling values, and every pair of trackers
+        compares causally EQUAL.  Returns ``None`` otherwise.
+        """
+        states = [node.store._keys.get(key) for node in holders]
+        if any(
+            state is None or not isinstance(state.tracker, KernelTracker)
+            for state in states
+        ):
+            return None
+        if len({state.tracker.epoch for state in states}) != 1:
+            return None
+        reference = sorted(repr(value) for value in states[0].values)
+        for state in states[1:]:
+            if sorted(repr(value) for value in state.values) != reference:
+                return None
+        trackers = [state.tracker for state in states]
+        for i in range(len(trackers)):
+            for j in range(i + 1, len(trackers)):
+                if trackers[i].compare(trackers[j]) is not Ordering.EQUAL:
+                    return None
+        return states
+
     def compact_key(
         self, key: str, *, participants: Optional[Sequence[MobileNode]] = None
     ) -> bool:
         """Compact one key's causal metadata by bumping its epoch.
 
-        The sync-then-bump protocol: all live holders of ``key`` are first
-        synchronized to pairwise-EQUAL (two passes through one hub), the
-        common knowledge is *verified* -- identical sibling values, a
-        single shared epoch, every pair causally EQUAL -- and only then is
-        the epoch bumped: the version-stamp family re-roots the group
-        (:func:`~repro.core.reroot.reroot_group`, the paper's Section 7
-        collection), every other family re-seeds at the new epoch and
-        forks the seed into one identity per holder.  Verification instead
-        of assumption is what makes the protocol safe under faults: a
-        lossy transport can make a sync pass silently skip the key, in
-        which case the verify step fails and the compaction aborts
-        harmlessly (``False``) -- to be retried a later round.
+        The check-sweep-check-bump protocol: the common knowledge of all
+        live holders of ``key`` is *verified* -- identical sibling values,
+        a single shared epoch, every pair causally EQUAL.  Only when that
+        check fails are the holders synchronized through one hub (two
+        passes of full-store syncs) and checked again.  When a check
+        passes, the epoch is bumped: the version-stamp family re-roots the
+        group (:func:`~repro.core.reroot.reroot_group`, the paper's
+        Section 7 collection), every other family re-seeds at the new
+        epoch and forks the seed into one identity per holder.  Holders
+        that already agree are thus re-rooted with no sync at all, and the
+        bump always fires on a state checked just before it.
+        Verification instead of assumption is what makes the protocol
+        safe under faults: a lossy transport can make a sync pass
+        silently skip the key, in which case the second check fails and
+        the compaction aborts harmlessly (``False``) -- to be retried a
+        later round.
+
+        When it runs, the sweep syncs every key of the holders' stores,
+        not just ``key``.  With one clock per key and siblings unioned on
+        CONCURRENT, merge order can leave two holders with trackers that
+        compare EQUAL but different sibling sets; such a key never passes
+        the check, so it is never re-rooted and its metadata grows without
+        bound.  Syncing the whole store through the hub keeps every key's
+        holders converging; in the version-stamp grey soak a key-scoped
+        sweep let that state form, and its stamps overflowed the codec's
+        16-bit length prefix.
 
         The bump is sound because everything the old epoch could ever
         discriminate is common knowledge at bump time: older-epoch
@@ -1051,29 +1094,16 @@ class AntiEntropy:
                 if node is not other and not node.can_reach(other):
                     return False
         self.compaction_attempts += 1
-        hub = holders[0]
-        for _sweep in range(2):
-            for other in holders[1:]:
-                self._pairwise(hub, other)
-        states = [node.store._keys.get(key) for node in holders]
-        if any(
-            state is None or not isinstance(state.tracker, KernelTracker)
-            for state in states
-        ):
-            return False
-        epochs = {state.tracker.epoch for state in states}
-        if len(epochs) != 1:
-            return False
-        reference = sorted(repr(value) for value in states[0].values)
-        for state in states[1:]:
-            if sorted(repr(value) for value in state.values) != reference:
+        states = self._common_knowledge(key, holders)
+        if states is None:
+            hub = holders[0]
+            for _sweep in range(2):
+                for other in holders[1:]:
+                    self._pairwise(hub, other)
+            states = self._common_knowledge(key, holders)
+            if states is None:
                 return False
-        trackers = [state.tracker for state in states]
-        for i in range(len(trackers)):
-            for j in range(i + 1, len(trackers)):
-                if trackers[i].compare(trackers[j]) is not Ordering.EQUAL:
-                    return False
-        new_epoch = epochs.pop() + 1
+        new_epoch = states[0].tracker.epoch + 1
         clocks = [state.tracker.clock for state in states]
         family_name = clocks[0].family
         if family_name == "version-stamp":

@@ -1,0 +1,163 @@
+"""Compaction: check, sweep only when needed, check again, bump.
+
+:meth:`~repro.replication.AntiEntropy.compact_key` re-roots a key only
+once every live holder shares common knowledge of it: one epoch,
+identical sibling sets, pairwise-EQUAL trackers.  The contract under test:
+
+* holders that already agree are bumped without a single sync;
+* holders that disagree are swept through a hub first, then bumped;
+* a key whose trackers compare EQUAL while its sibling sets differ is
+  never bumped, swept or not;
+* ``participants`` scopes the check to the named holders.
+
+The last test pins a defect of the merge, not of compaction: replicas
+can end with trackers that compare EQUAL but different sibling sets.
+Such a key never passes the check above, so its metadata is never
+re-rooted.
+"""
+
+import pytest
+
+from repro.core.order import Ordering
+from repro.replication import (
+    AntiEntropy,
+    FullyConnectedNetwork,
+    KernelTracker,
+    MobileNode,
+    WireSyncEngine,
+)
+
+FAMILIES = ["version-stamp", "itc", "vv-dynamic", "causal-history"]
+
+
+def _agreeing(family, count):
+    """One writer plus forks: every holder shares the writer's knowledge."""
+    writer = MobileNode.first(
+        "n0", FullyConnectedNetwork(), tracker_factory=KernelTracker.factory(family)
+    )
+    writer.write("k", "v")
+    nodes = [writer]
+    for index in range(1, count):
+        nodes.append(nodes[-1].spawn_peer(f"n{index}"))
+    return nodes
+
+
+def _equal_but_different(family, sync):
+    """Replicas ``p`` and ``x`` end EQUAL on ``k`` with different siblings.
+
+    ``sync(a, b)`` reconciles two nodes.  The concurrent merge
+    ``{a, b} | {c}`` keeps ``a`` although ``c`` supersedes it, so the
+    order of merges decides the sibling set while the trackers join to
+    the same knowledge.
+    """
+    w1 = MobileNode.first(
+        "w1", FullyConnectedNetwork(), tracker_factory=KernelTracker.factory(family)
+    )
+    w1.write("k", "seed")
+    w2, p, q = (w1.spawn_peer(name) for name in ("w2", "p", "q"))
+    w1.write("k", "a")
+    w2.write("k", "b")
+    x = w2.spawn_peer("x")
+    sync(p, w1)
+    sync(p, w2)
+    w1.write("k", "c")
+    sync(q, w1)
+    y = q.spawn_peer("y")
+    sync(p, q)
+    sync(x, y)
+    return {"w1": w1, "w2": w2, "p": p, "q": q, "x": x, "y": y}
+
+
+def _wire_sync(engine):
+    return lambda first, second: engine.sync(first.store, second.store)
+
+
+def _memory_sync(first, second):
+    first.store.sync_with(second.store)
+
+
+def _siblings(node, key="k"):
+    return sorted(repr(value) for value in node.read(key))
+
+
+def _epochs(nodes, key="k"):
+    return [node.store.tracker_of(key).epoch for node in nodes]
+
+
+def _pairwise_equal(nodes, key="k"):
+    trackers = [node.store.tracker_of(key) for node in nodes]
+    return all(
+        first.compare(second) is Ordering.EQUAL
+        for index, first in enumerate(trackers)
+        for second in trackers[index + 1 :]
+    )
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+class TestCheckSweepCheckBump:
+    def test_agreeing_holders_are_bumped_without_syncing(self, family):
+        nodes = _agreeing(family, 5)
+        engine = WireSyncEngine()
+        gossip = AntiEntropy(nodes, engine=engine)
+        assert _pairwise_equal(nodes)
+        assert gossip.compact_key("k")
+        assert engine.meter.messages == 0
+        assert _epochs(nodes) == [1] * 5
+        assert _pairwise_equal(nodes)
+        assert all(node.read("k") == ["v"] for node in nodes)
+        assert (gossip.compactions, gossip.compaction_attempts) == (1, 1)
+
+    def test_disagreeing_holders_are_swept_then_bumped(self, family):
+        nodes = _agreeing(family, 5)
+        engine = WireSyncEngine()
+        gossip = AntiEntropy(nodes, engine=engine)
+        assert gossip.compact_key("k")
+        nodes[1].write("k", "left")
+        nodes[3].write("k", "right")
+        assert not _pairwise_equal(nodes)
+        assert gossip.compact_key("k")
+        assert engine.meter.messages > 0
+        assert _epochs(nodes) == [2] * 5
+        assert _pairwise_equal(nodes)
+        assert all(_siblings(node) == ["'left'", "'right'"] for node in nodes)
+
+    @pytest.mark.parametrize("scope", ["p-and-x", "all-holders"])
+    def test_equal_trackers_with_different_siblings_never_bump(self, family, scope):
+        nodes = _equal_but_different(family, _wire_sync(WireSyncEngine()))
+        p, x = nodes["p"], nodes["x"]
+        # The premise: the recipe reaches the EQUAL-but-different state.
+        assert _pairwise_equal([p, x])
+        assert _siblings(p) != _siblings(x)
+        gossip = AntiEntropy(list(nodes.values()), engine=WireSyncEngine())
+        participants = [p, x] if scope == "p-and-x" else None
+        assert not gossip.compact_key("k", participants=participants)
+        assert _epochs(nodes.values()) == [0] * len(nodes)
+        assert gossip.compactions == 0
+
+    def test_participants_scope_the_first_check(self, family):
+        nodes = _agreeing(family, 3)
+        engine = WireSyncEngine()
+        gossip = AntiEntropy(nodes, engine=engine)
+        # A non-participant moves ahead; the participants still agree.
+        nodes[2].write("k", "ahead")
+        assert gossip.compact_key("k", participants=nodes[:2])
+        assert engine.meter.messages == 0
+        assert _epochs(nodes) == [1, 1, 0]
+        assert nodes[2].read("k") == ["ahead"]
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("path", ["wire", "memory"])
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason=(
+        "one clock per key plus sibling union on CONCURRENT: merge order "
+        "decides the sibling set of replicas whose trackers compare EQUAL"
+    ),
+)
+def test_equal_trackers_hold_identical_siblings(family, path):
+    sync = _wire_sync(WireSyncEngine()) if path == "wire" else _memory_sync
+    nodes = _equal_but_different(family, sync)
+    p, x = nodes["p"], nodes["x"]
+    assert not _pairwise_equal([p, x]) or _siblings(p) == _siblings(x)
