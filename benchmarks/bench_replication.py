@@ -16,9 +16,9 @@ import random
 
 from repro.replication.network import PartitionSchedule, PartitionedNetwork, ScheduledNetwork
 from repro.replication.node import MobileNode
-from repro.replication.replica import Replica
+from repro.replication.store import StoreReplica
 from repro.replication.synchronizer import AntiEntropy
-from repro.replication.tracker import DynamicVVTracker, StampTracker
+from repro.replication.tracker import DynamicVVTracker
 from repro.vv.id_source import CentralIdSource, IdAllocationError
 
 
@@ -85,28 +85,37 @@ def test_partitioned_replication_with_stamps(benchmark, experiment):
 
 
 def test_identifier_authority_failure_of_the_baseline(benchmark, experiment):
+    def refused(store):
+        store.put("k", 0)
+        try:
+            store.fork("offline", connected=False)
+        except IdAllocationError:
+            return 1
+        return 0
+
     def run():
         failures = 0
-        successes = 0
+        stamp_refusals = 0
         for _ in range(50):
-            baseline = Replica("origin", value=0, tracker=DynamicVVTracker(id_source=CentralIdSource()))
-            try:
-                baseline.fork("offline", connected=False)
-                successes += 1
-            except IdAllocationError:
-                failures += 1
-            stamped = Replica("origin", value=0, tracker=StampTracker())
-            stamped.fork("offline", connected=False)
-        return failures, successes
+            failures += refused(
+                StoreReplica(
+                    "origin",
+                    tracker_factory=lambda: DynamicVVTracker(id_source=CentralIdSource()),
+                )
+            )
+            stamp_refusals += refused(StoreReplica("origin"))
+        return failures, stamp_refusals
 
-    failures, successes = benchmark(run)
+    failures, stamp_refusals = benchmark(run)
     report = experiment(
         "SYNC-identity", "Replica creation under partition: stamps vs. dynamic VV"
     )
     report.add("dynamic-VV forks refused while partitioned", "50/50", f"{failures}/50")
-    report.add("version-stamp forks refused while partitioned", "0/50", f"{50 - 50}/50" if True else "")
+    report.add(
+        "version-stamp forks refused while partitioned", "0/50", f"{stamp_refusals}/50"
+    )
     assert failures == 50
-    assert successes == 0
+    assert stamp_refusals == 0
 
 
 def test_anti_entropy_convergence_scaling(benchmark, experiment):

@@ -17,13 +17,13 @@ import random
 
 from repro.replication import (
     AntiEntropy,
+    DynamicVVTracker,
     MobileNode,
     PartitionSchedule,
     ScheduledNetwork,
+    StoreReplica,
 )
-from repro.replication.tracker import DynamicVVTracker
 from repro.vv.id_source import CentralIdSource, IdAllocationError
-from repro.replication.replica import Replica
 
 
 def main() -> None:
@@ -60,7 +60,11 @@ def main() -> None:
     print("  created a new replica ('phone') inside the partition: ok")
 
     # The identifier-based baseline cannot do that.
-    baseline = Replica("baseline", value=None, tracker=DynamicVVTracker(id_source=CentralIdSource()))
+    baseline = StoreReplica(
+        "baseline",
+        tracker_factory=lambda: DynamicVVTracker(id_source=CentralIdSource()),
+    )
+    baseline.put("contact:alice", "alice@example.org")
     try:
         baseline.fork("offline-copy", connected=False)
         print("  dynamic version vectors created a replica offline (unexpected!)")

@@ -33,7 +33,7 @@ Subpackages
 * :mod:`repro.vv` -- version vectors, vector clocks, dynamic version vectors,
   plausible clocks, identifier sources.
 * :mod:`repro.itc` -- Interval Tree Clocks (the future-work extension).
-* :mod:`repro.replication` -- replicas, stores, conflict policies, simulated
+* :mod:`repro.replication` -- store replicas, conflict policies, simulated
   partitions/mobility, anti-entropy.
 * :mod:`repro.panasync` -- file-copy dependency tracking tools.
 * :mod:`repro.sim` -- traces, workload generators, the lockstep runner and
@@ -57,7 +57,6 @@ from .replication import (
     AntiEntropy,
     MobileNode,
     PartitionedNetwork,
-    Replica,
     StoreReplica,
 )
 from .panasync import FileCopy, Panasync
@@ -82,7 +81,6 @@ __all__ = [
     "DynamicVVSystem",
     "PlausibleClock",
     "ITCStamp",
-    "Replica",
     "StoreReplica",
     "MobileNode",
     "AntiEntropy",

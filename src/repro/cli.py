@@ -581,13 +581,6 @@ def _cmd_contracts(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _panasync_for(paths: Sequence[str]) -> Panasync:
-    tool = Panasync()
-    for path in paths:
-        tool.add_repository(Path(path).name or str(path), Path(path))
-    return tool
-
-
 def _cmd_panasync(args: argparse.Namespace) -> int:
     tool = Panasync()
     tool.add_repository("repo", Path(args.repository))

@@ -20,10 +20,10 @@ moment: right after :meth:`~repro.replication.synchronizer.AntiEntropy.
 compact_key` re-roots a key, the old epoch's records describe identifier
 space that no longer exists, so the store snapshots and drops them.
 
-Only kernel-tracked stores can be durable: the in-memory baseline
-trackers (plain version stamps, ITC, dynamic VV wrappers) have no byte
-form, and inventing a private pickle for them would break the
-"snapshot = wire state" property the recovery proof rests on.
+Only kernel-tracked stores can be durable: the in-memory dynamic-VV
+baseline tracker has no byte form, and inventing a private pickle for it
+would break the "snapshot = wire state" property the recovery proof
+rests on.
 """
 
 from __future__ import annotations

@@ -19,11 +19,11 @@ protocol deliberately does not expose:
 * :class:`DynamicVVAdapter` -- the identifier-*authority* baseline, whose
   forks can fail under partition (the kernel's ``vv-dynamic`` family
   allocates identifiers locally and never fails);
+* :class:`ITCAdapter` -- ITC sized by ``ITCStamp.size_in_bits()``'s
+  per-node model, the yardstick the other default adapters use
+  (``KernelClockAdapter("itc")`` reports encoded bits instead);
 * :class:`PlausibleAdapter` / :class:`LamportAdapter` -- the lossy
   contrast baselines.
-
-Importing these names from :mod:`repro.sim.runner` still works but emits a
-:class:`DeprecationWarning`; import from here (or :mod:`repro.sim`) instead.
 """
 
 from __future__ import annotations

@@ -3,11 +3,12 @@
 The paper targets update tracking for optimistic replication in mobile,
 partition-prone environments.  This subpackage builds that environment:
 
-* :mod:`~repro.replication.tracker` -- pluggable causality trackers (version
-  stamps by default, ITC and dynamic version vectors for comparison).
-* :mod:`~repro.replication.replica` -- single-item replicas with local
-  writes, coordination-free forking and pairwise synchronization.
-* :mod:`~repro.replication.store` -- a multi-value key-value store replica.
+* :mod:`~repro.replication.tracker` -- pluggable causality trackers: any
+  kernel clock family (version stamps by default), plus the
+  identifier-authority dynamic-version-vector baseline.
+* :mod:`~repro.replication.store` -- a multi-value key-value store replica
+  with local writes, coordination-free forking and pairwise
+  synchronization.
 * :mod:`~repro.replication.conflict` -- conflict resolution policies.
 * :mod:`~repro.replication.network` -- simulated partitions and mobility.
 * :mod:`~repro.replication.faults` -- fault-injecting transport (loss,
@@ -40,7 +41,6 @@ from .network import (
 )
 from .history import ExchangeRecord, SyncHistory
 from .node import MobileNode
-from .replica import Replica, SyncOutcome, Version
 from .store import FrameRejected, MergeReport, StoreReplica
 from .synchronizer import (
     AntiEntropy,
@@ -50,23 +50,12 @@ from .synchronizer import (
     TransferEffect,
     WireSyncEngine,
 )
-from .tracker import (
-    CausalityTracker,
-    DynamicVVTracker,
-    ITCTracker,
-    KernelTracker,
-    StampTracker,
-)
+from .tracker import CausalityTracker, DynamicVVTracker, KernelTracker
 
 __all__ = [
     "CausalityTracker",
-    "StampTracker",
-    "ITCTracker",
     "DynamicVVTracker",
     "KernelTracker",
-    "Replica",
-    "Version",
-    "SyncOutcome",
     "StoreReplica",
     "MergeReport",
     "FrameRejected",

@@ -16,7 +16,7 @@ from ..core.errors import ReplicationError
 from .conflict import ConflictPolicy
 from .network import SimulatedNetwork
 from .store import MergeReport, StoreReplica
-from .tracker import CausalityTracker
+from .tracker import KernelTracker
 
 __all__ = ["MobileNode", "replicas_agree"]
 
@@ -61,14 +61,11 @@ class MobileNode:
         node_id: str,
         network: SimulatedNetwork,
         *,
-        tracker_factory=None,
+        tracker_factory=KernelTracker.factory("version-stamp"),
         policy: Optional[ConflictPolicy] = None,
     ) -> "MobileNode":
         """Create the first node of a system (seed replica)."""
-        if tracker_factory is not None:
-            store = StoreReplica(node_id, tracker_factory=tracker_factory, policy=policy)
-        else:
-            store = StoreReplica(node_id, policy=policy)
+        store = StoreReplica(node_id, tracker_factory=tracker_factory, policy=policy)
         return cls(node_id, store, network)
 
     def spawn_peer(self, node_id: str, *, connected: Optional[bool] = None) -> "MobileNode":

@@ -53,7 +53,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 from ..core.errors import ReplicationError
 from ..core.order import Ordering
 from .conflict import ConflictPolicy, KeepBoth
-from .tracker import CausalityTracker, StampTracker
+from .tracker import CausalityTracker, KernelTracker
 
 __all__ = ["StoreReplica", "MergeReport", "KeyState", "FrameRejected"]
 
@@ -123,16 +123,17 @@ class StoreReplica:
         Replica name used in logs and reports.
     tracker_factory:
         Callable producing the causality tracker used for keys first created
-        at this replica; defaults to version-stamp trackers.
+        at this replica; defaults to version-stamp trackers
+        (``KernelTracker.factory("version-stamp")``).
     policy:
         Conflict policy applied when concurrent versions of a key meet;
         defaults to keeping all siblings.
     durable:
         Open a journaled replica: every accepted mutation is persisted to
         the durable log at ``path`` so :meth:`recover` can rebuild the
-        replica after a crash.  Requires kernel trackers
-        (``KernelTracker.factory(<family>)``) -- the baselines have no
-        canonical byte form.
+        replica after a crash.  Requires kernel trackers (the default, or
+        any ``KernelTracker.factory(<family>)``) -- the dynamic-VV
+        baseline has no canonical byte form.
     path:
         Location of the backing log (a directory for the file backend,
         a database file for SQLite).  Required with ``durable=True``.
@@ -155,7 +156,7 @@ class StoreReplica:
         self,
         name: str,
         *,
-        tracker_factory=StampTracker,
+        tracker_factory=KernelTracker.factory("version-stamp"),
         policy: Optional[ConflictPolicy] = None,
         durable: bool = False,
         path=None,
@@ -508,30 +509,28 @@ class StoreReplica:
         if other is self:
             raise ReplicationError("a store replica cannot synchronize with itself")
         report = MergeReport()
-        durable = self.journal is not None or other.journal is not None
-        for key in sorted(set(self._keys) | set(other._keys)):
-            if not durable:
-                self._sync_key(key, other, report)
-                continue
-            mine_before = self._keys.get(key)
-            mine_tracker = mine_before.tracker if mine_before is not None else None
-            theirs_before = other._keys.get(key)
-            theirs_tracker = (
-                theirs_before.tracker if theirs_before is not None else None
-            )
+        keys = sorted(set(self._keys) | set(other._keys))
+        for key in keys:
             self._sync_key(key, other, report)
-            mine_after = self._keys.get(key)
-            if mine_after is not None and mine_after.tracker is not mine_tracker:
-                self._record(key)
-            theirs_after = other._keys.get(key)
-            if (
-                theirs_after is not None
-                and theirs_after.tracker is not theirs_tracker
-            ):
-                other._record(key)
-        # One flush per sync, on both journals: the barrier that makes a
-        # completed sync durable as a unit (see the I2 argument in the
-        # ROADMAP recovery record).
+        # In memory every examined key is re-forked on both sides (EQUAL
+        # keys too), so every one of them changed.
+        self._commit_sync(other, keys)
+        return report
+
+    def _commit_sync(self, other: "StoreReplica", keys: Iterable[str]) -> None:
+        """The sync-completion durability barrier.
+
+        Journals the post-sync state of ``keys`` -- the keys the sync
+        changed, which both replicas now hold -- on both sides, then
+        flushes each journal once.  A crash before the flush recovers the
+        pre-sync state and a crash after it the completed sync; no state
+        in between, holding one half of a fresh join-and-fork, can be
+        resurrected.
+        """
+        if self.journal is None and other.journal is None:
+            return
+        for key in keys:
+            self._record(key)
+            other._record(key)
         self._flush_journal()
         other._flush_journal()
-        return report

@@ -260,7 +260,7 @@ class WireSyncEngine:
 
     Only stores whose keys are tracked by
     :class:`~repro.replication.tracker.KernelTracker` can sync over the
-    wire (the baselines have no byte form); anything else raises
+    wire (the dynamic-VV baseline has no byte form); anything else raises
     :class:`~repro.core.errors.ReplicationError`.
     """
 
@@ -786,22 +786,13 @@ class WireSyncEngine:
             self._restore(first, key, mine_snap)
             self._restore(second, key, theirs_snap)
             rolled_back.add(key)
-        if first.journal is not None or second.journal is not None:
-            # Durable stores journal only what this sync actually changed
-            # (rolled-back keys are byte-identical to their already
-            # journaled pre-sync state), then flush once per side: the
-            # sync-completion durability barrier.  A crash mid-sync thus
-            # recovers to the pre-sync state -- exactly what the per-key
-            # rollback would have produced -- and a crash after the
-            # barrier recovers the completed sync; there is no state in
-            # between to resurrect.
-            for key in changed:
-                if key in rolled_back:
-                    continue
-                first._record(key)
-                second._record(key)
-            first._flush_journal()
-            second._flush_journal()
+        # Rolled-back keys are byte-identical to their already journaled
+        # pre-sync state, so the barrier journals only completed changes.
+        # A crash mid-sync thus recovers to the pre-sync state -- exactly
+        # what the per-key rollback would have produced.
+        first._commit_sync(
+            second, (key for key in changed if key not in rolled_back)
+        )
         self.frames_rejected += len(report.frames_rejected)
         self.epoch_upgrades += report.epoch_upgrades
         if history is not None:
@@ -1086,8 +1077,8 @@ class AntiEntropy:
             isinstance(node.store._keys[key].tracker, KernelTracker)
             for node in holders
         ):
-            # Epochs only exist for kernel-tracked stores; the in-memory
-            # baselines keep the frontier-wide synchronous re-root.
+            # Epochs only exist for kernel-tracked stores; the dynamic-VV
+            # baseline is never compacted.
             return False
         for node in holders:
             for other in holders:

@@ -1,6 +1,6 @@
 """Pluggable causality trackers for the replication substrate.
 
-The replication layer (replicas, stores, synchronizers) only needs four
+The replication layer (stores, mobile nodes, synchronizers) only needs four
 capabilities from whatever mechanism tracks update causality:
 
 * record a local update,
@@ -8,18 +8,25 @@ capabilities from whatever mechanism tracks update causality:
 * join when two replicas reconcile,
 * compare two versions (:class:`~repro.core.order.Ordering`).
 
-:class:`CausalityTracker` captures that contract; the adapters wrap version
-stamps (the paper's mechanism and the default), Interval Tree Clocks (the
-extension) and dynamic version vectors (the identifier-dependent baseline).
-Having the baselines behind the same interface is what lets the end-to-end
-replication benchmarks swap the mechanism without touching the scenario.
+:class:`CausalityTracker` captures that contract, with two
+implementations:
 
-:class:`KernelTracker` closes the loop with :mod:`repro.kernel`: it wraps
-any registered clock family behind the tracker contract, speaking only the
-:class:`~repro.kernel.protocol.CausalityClock` protocol -- so every
-replication scenario (replicas, stores, mobile nodes, anti-entropy) runs
-over any family via ``KernelTracker.factory("itc")`` etc., and the causal
-metadata it ships serializes through the epoch-tagged wire envelope.
+* :class:`KernelTracker` wraps any registered :mod:`repro.kernel` clock
+  family -- version stamps (the paper's mechanism and the stores'
+  default), Interval Tree Clocks, dynamic version vectors with lineage
+  identifiers, causal histories -- speaking only the
+  :class:`~repro.kernel.protocol.CausalityClock` protocol.  Every
+  replication scenario (stores, mobile nodes, anti-entropy) runs over any
+  family via ``KernelTracker.factory("itc")`` etc., and the causal
+  metadata it ships serializes through the epoch-tagged wire envelope.
+* :class:`DynamicVVTracker` is the identifier-authority baseline: its
+  forks draw replica identifiers from a shared
+  :class:`~repro.vv.id_source.IdSource` and fail when a central source is
+  unreachable.  It has no byte form, so it runs only on the in-memory
+  sync path.
+
+Having the baseline behind the same interface is what lets the end-to-end
+replication benchmarks swap the mechanism without touching the scenario.
 """
 
 from __future__ import annotations
@@ -28,16 +35,12 @@ from typing import Callable, Optional, Tuple
 
 from .. import kernel
 from ..core.order import Ordering
-from ..core.stamp import VersionStamp
-from ..itc.stamp import ITCStamp
 from ..vv.dynamic_vv import DynamicVVElement
 from ..vv.id_source import IdSource, CentralIdSource
 from ..vv.version_vector import VersionVector
 
 __all__ = [
     "CausalityTracker",
-    "StampTracker",
-    "ITCTracker",
     "DynamicVVTracker",
     "KernelTracker",
 ]
@@ -108,9 +111,9 @@ class CausalityTracker:
     def to_bytes(self) -> bytes:
         """The tracker's canonical wire envelope.
 
-        Only :class:`KernelTracker` has one; the in-memory baselines
-        raise a typed error so the wire sync engine and the durable store
-        layer reject them up front instead of inventing a private pickle
+        Only :class:`KernelTracker` has one; the in-memory baseline
+        raises a typed error so the wire sync engine and the durable store
+        layer reject it up front instead of inventing a private pickle
         (which would break the canonical-bytes property both rely on).
         """
         from ..core.errors import DurabilityError
@@ -120,70 +123,6 @@ class CausalityTracker:
             f"and durable stores need KernelTracker "
             f"(KernelTracker.factory(<family>))"
         )
-
-
-class StampTracker(CausalityTracker):
-    """Causality tracking with version stamps (the paper's mechanism)."""
-
-    __slots__ = ("stamp",)
-
-    def __init__(self, stamp: Optional[VersionStamp] = None, *, reducing: bool = True) -> None:
-        self.stamp = stamp if stamp is not None else VersionStamp.seed(reducing=reducing)
-
-    def updated(self) -> "StampTracker":
-        return StampTracker(self.stamp.update())
-
-    def forked(self, *, connected: bool = True) -> Tuple["StampTracker", "StampTracker"]:
-        left, right = self.stamp.fork()
-        return StampTracker(left), StampTracker(right)
-
-    def joined(self, other: "CausalityTracker") -> "StampTracker":
-        if not isinstance(other, StampTracker):
-            raise TypeError("cannot join trackers of different kinds")
-        return StampTracker(self.stamp.join(other.stamp))
-
-    def compare(self, other: "CausalityTracker") -> Ordering:
-        if not isinstance(other, StampTracker):
-            raise TypeError("cannot compare trackers of different kinds")
-        return self.stamp.compare(other.stamp)
-
-    def size_in_bits(self) -> int:
-        return self.stamp.size_in_bits()
-
-    def __repr__(self) -> str:
-        return f"StampTracker({self.stamp})"
-
-
-class ITCTracker(CausalityTracker):
-    """Causality tracking with Interval Tree Clocks (the extension)."""
-
-    __slots__ = ("stamp",)
-
-    def __init__(self, stamp: Optional[ITCStamp] = None) -> None:
-        self.stamp = stamp if stamp is not None else ITCStamp.seed()
-
-    def updated(self) -> "ITCTracker":
-        return ITCTracker(self.stamp.event())
-
-    def forked(self, *, connected: bool = True) -> Tuple["ITCTracker", "ITCTracker"]:
-        left, right = self.stamp.fork()
-        return ITCTracker(left), ITCTracker(right)
-
-    def joined(self, other: "CausalityTracker") -> "ITCTracker":
-        if not isinstance(other, ITCTracker):
-            raise TypeError("cannot join trackers of different kinds")
-        return ITCTracker(self.stamp.join(other.stamp))
-
-    def compare(self, other: "CausalityTracker") -> Ordering:
-        if not isinstance(other, ITCTracker):
-            raise TypeError("cannot compare trackers of different kinds")
-        return self.stamp.compare(other.stamp)
-
-    def size_in_bits(self) -> int:
-        return self.stamp.size_in_bits()
-
-    def __repr__(self) -> str:
-        return f"ITCTracker({self.stamp!r})"
 
 
 class DynamicVVTracker(CausalityTracker):

@@ -20,7 +20,7 @@ from repro.replication.network import PartitionedNetwork
 from repro.replication.node import MobileNode
 from repro.replication.store import StoreReplica
 from repro.replication.synchronizer import AntiEntropy, WireSyncEngine
-from repro.replication.tracker import KernelTracker
+from repro.replication.tracker import DynamicVVTracker, KernelTracker
 
 FAMILIES = kernel.families()
 BACKENDS = ("file", "sqlite")
@@ -92,6 +92,22 @@ class TestRecoveryEquality:
         assert report.clean
         assert_lockstep_equal(recovered, a)
         assert recovered.has_conflict("k")
+
+    def test_in_memory_sync_recovers_both_sides(self, tmp_path, family, backend):
+        a = durable_store(tmp_path, family, backend)
+        b = durable_store(tmp_path, family, backend, name="b")
+        a.put("k", "seed")
+        b.put("j", "other")
+        a.sync_with(b)
+        a.put("k", "va")
+        b.put("k", "vb")  # concurrent writes: a genuine conflict
+        a.sync_with(b)
+        for store, name in ((a, "a"), (b, "b")):
+            recovered, report = recover_same(
+                store, tmp_path, family, backend, name=name
+            )
+            assert report.clean
+            assert_lockstep_equal(recovered, store)
 
     def test_recovery_composes_across_crashes(self, tmp_path, family, backend):
         a = durable_store(tmp_path, family, backend)
@@ -370,9 +386,22 @@ def test_durable_store_requires_path():
 
 
 def test_baseline_trackers_are_rejected_with_typed_error(tmp_path):
-    store = StoreReplica("a", durable=True, path=tmp_path / "a")
+    store = StoreReplica(
+        "a", tracker_factory=DynamicVVTracker, durable=True, path=tmp_path / "a"
+    )
     with pytest.raises(DurabilityError):
         store.put("k", "v")
+
+
+def test_default_store_journals_and_recovers(tmp_path):
+    store = StoreReplica("a", durable=True, path=tmp_path / "a")
+    store.put("k", "v")
+    store.journal.simulate_crash()
+    recovered, report = StoreReplica.recover(tmp_path / "a", name="a")
+    assert report.clean
+    assert recovered.get("k") == ["v"]
+    assert recovered.tracker_of("k").family == "version-stamp"
+    assert_lockstep_equal(recovered, store)
 
 
 def test_rebuild_infers_family_from_recovered_state(tmp_path):

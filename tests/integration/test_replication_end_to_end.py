@@ -19,9 +19,9 @@ from repro.replication.network import (
     ScheduledNetwork,
 )
 from repro.replication.node import MobileNode
-from repro.replication.replica import Replica
+from repro.replication.store import StoreReplica
 from repro.replication.synchronizer import AntiEntropy
-from repro.replication.tracker import DynamicVVTracker, StampTracker
+from repro.replication.tracker import DynamicVVTracker
 from repro.vv.id_source import CentralIdSource, IdAllocationError
 
 
@@ -57,17 +57,22 @@ class TestPartitionedOperation:
     def test_replica_creation_fails_for_dynamic_vv_under_partition(self):
         # The identifier-based baseline cannot create replicas while the
         # authority is unreachable -- the limitation stamps remove.
-        origin = Replica("origin", value=0, tracker=DynamicVVTracker(id_source=CentralIdSource()))
+        origin = StoreReplica(
+            "origin",
+            tracker_factory=lambda: DynamicVVTracker(id_source=CentralIdSource()),
+        )
+        origin.put("doc", 0)
         with pytest.raises(IdAllocationError):
             origin.fork("offline-copy", connected=False)
 
     def test_same_scenario_succeeds_with_stamps(self):
-        origin = Replica("origin", value=0, tracker=StampTracker())
+        origin = StoreReplica("origin")
+        origin.put("doc", 0)
         clone = origin.fork("offline-copy", connected=False)
-        clone.write(1)
-        outcome = origin.sync_with(clone)
-        assert outcome.relation is Ordering.BEFORE
-        assert origin.value == 1
+        clone.put("doc", 1)
+        assert origin.tracker_of("doc").compare(clone.tracker_of("doc")) is Ordering.BEFORE
+        origin.sync_with(clone)
+        assert origin.get("doc") == [1]
 
 
 class TestConflictAccuracy:

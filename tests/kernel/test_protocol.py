@@ -12,8 +12,9 @@ from hypothesis import given, settings
 from repro import kernel
 from repro.analysis.sizes import kernel_family_matrix, measure_trace_sizes
 from repro.core.errors import EpochMismatch
+from repro.core.order import Ordering
 from repro.kernel import CausalityClock, KernelClockAdapter, kernel_adapters
-from repro.replication import KernelTracker, Replica
+from repro.replication import KernelTracker, MergeWith, StoreReplica
 from repro.sim.runner import LockstepRunner
 from repro.sim.workload import churn_trace, random_dynamic_trace
 from repro.testing import trace_operations
@@ -118,19 +119,25 @@ class TestCrossFamilyMatrix:
 @pytest.mark.parametrize("family", FAMILIES)
 class TestReplicationOverTheProtocol:
     def test_replica_scenario_runs_over_any_family(self, family):
-        origin = Replica("origin", value="v1", tracker=KernelTracker(family=family))
+        origin = StoreReplica(
+            "origin",
+            tracker_factory=KernelTracker.factory(family),
+            policy=MergeWith(lambda values: "".join(sorted(values))),
+        )
+        origin.put("k", "v1")
         copy = origin.fork("copy")
-        origin.write("v2")
-        outcome = copy.sync_with(origin)
-        assert not outcome.conflict
-        assert copy.value == "v2"
+        origin.put("k", "v2")
+        report = copy.sync_with(origin)
+        assert report.conflicts_detected == 0
+        assert copy.get("k") == ["v2"]
         # Now force a genuine conflict.
-        origin.write("left")
-        copy.write("right")
-        assert origin.conflicts_with(copy)
-        outcome = origin.sync_with(copy, resolve=lambda a, b: a + b)
-        assert outcome.conflict
-        assert origin.value == "leftright"
+        origin.put("k", "left")
+        copy.put("k", "right")
+        relation = origin.tracker_of("k").compare(copy.tracker_of("k"))
+        assert relation is Ordering.CONCURRENT
+        report = origin.sync_with(copy)
+        assert report.conflicts_detected == 1
+        assert origin.get("k") == copy.get("k") == ["leftright"]
         assert origin.metadata_size_in_bits() > 0
 
     def test_tracker_round_trips_through_the_envelope(self, family):
@@ -138,50 +145,6 @@ class TestReplicationOverTheProtocol:
         restored = KernelTracker.from_bytes(tracker.to_bytes())
         assert restored.clock == tracker.clock
         assert restored.family == family
-
-
-class TestCompactBumpsEpoch:
-    def _group(self, count=3):
-        root = Replica("r0", value=0, tracker=KernelTracker(family="version-stamp"))
-        replicas = [root]
-        for index in range(1, count):
-            replicas.append(replicas[-1].fork(f"r{index}"))
-        for index, replica in enumerate(replicas):
-            replica.write(index)
-        for first, second in zip(replicas, replicas[1:]):
-            first.sync_with(second)
-        return replicas
-
-    def test_epoch_bumped_and_order_preserved(self):
-        replicas = self._group()
-        before = [
-            [a.compare(b) for b in replicas] for a in replicas
-        ]
-        result = Replica.compact(replicas)
-        assert result.bits_after <= result.bits_before
-        for replica in replicas:
-            assert replica.tracker.epoch == 1
-        after = [[a.compare(b) for b in replicas] for a in replicas]
-        assert after == before
-
-    def test_stragglers_are_detected_after_compaction(self):
-        replicas = self._group()
-        straggler = replicas[0].fork("straggler")
-        stale = straggler.tracker
-        Replica.compact(replicas + [straggler])
-        with pytest.raises(EpochMismatch):
-            straggler.tracker.compare(stale)
-
-    def test_mixed_epoch_group_is_rejected(self):
-        replicas = self._group()
-        Replica.compact(replicas)  # everyone moves to epoch 1
-        outsider = Replica(
-            "outsider", value=9, tracker=KernelTracker(family="version-stamp")
-        )
-        from repro.core.errors import ReplicationError
-
-        with pytest.raises(ReplicationError):
-            Replica.compact(replicas + [outsider])
 
 
 class TestKernelClockAdapter:

@@ -1,19 +1,14 @@
 """The ``dominates`` / ``stale_or_concurrent`` tracker helpers.
 
 These are the primitives the contracts layer builds on, so they are
-pinned across every kernel family *and* the in-memory baselines: the
+pinned across every kernel family *and* the in-memory baseline: the
 contracts checker must behave identically no matter which clock tracks a
 key.
 """
 
 import pytest
 
-from repro.replication.tracker import (
-    DynamicVVTracker,
-    ITCTracker,
-    KernelTracker,
-    StampTracker,
-)
+from repro.replication.tracker import DynamicVVTracker, KernelTracker
 
 KERNEL_FAMILIES = ["version-stamp", "itc", "vv-dynamic", "causal-history"]
 
@@ -21,8 +16,6 @@ TRACKER_FACTORIES = [
     pytest.param(KernelTracker.factory(family), id=f"kernel-{family}")
     for family in KERNEL_FAMILIES
 ] + [
-    pytest.param(lambda: StampTracker(), id="baseline-stamps"),
-    pytest.param(lambda: ITCTracker(), id="baseline-itc"),
     pytest.param(lambda: DynamicVVTracker(), id="baseline-dynamic-vv"),
 ]
 

@@ -6,7 +6,7 @@ from repro.core.errors import ReplicationError
 from repro.core.order import Ordering
 from repro.replication.conflict import KeepBoth, MergeWith, PreferNewest
 from repro.replication.store import StoreReplica
-from repro.replication.tracker import ITCTracker
+from repro.replication.tracker import KernelTracker
 
 
 class TestLocalOperation:
@@ -94,6 +94,15 @@ class TestReconciliation:
         assert report.values_taken >= 1
         assert report.conflicts_detected == 0
 
+    def test_synced_replicas_hold_equal_trackers(self):
+        origin = StoreReplica("origin")
+        origin.put("k", "v1")
+        clone = origin.fork("clone")
+        origin.put("k", "v2")
+        origin.sync_with(clone)
+        assert origin.tracker_of("k").compare(clone.tracker_of("k")) is Ordering.EQUAL
+        assert origin.tracker_of("k") is not clone.tracker_of("k")
+
     def test_stale_side_receives_nothing_new_after_equal_sync(self):
         origin = StoreReplica("origin")
         origin.put("k", "v1")
@@ -171,8 +180,11 @@ class TestReconciliation:
         assert report.keys_replicated == 1
         assert report.values_taken >= 2
 
-    def test_works_with_itc_trackers(self):
-        origin = StoreReplica("origin", tracker_factory=ITCTracker)
+    @pytest.mark.parametrize(
+        "family", ["version-stamp", "itc", "vv-dynamic", "causal-history"]
+    )
+    def test_works_with_every_kernel_family(self, family):
+        origin = StoreReplica("origin", tracker_factory=KernelTracker.factory(family))
         origin.put("k", "v1")
         clone = origin.fork("clone")
         origin.put("k", "v2")

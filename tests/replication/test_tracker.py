@@ -3,17 +3,15 @@
 import pytest
 
 from repro.core.order import Ordering
-from repro.replication.tracker import (
-    DynamicVVTracker,
-    ITCTracker,
-    StampTracker,
-)
+from repro.replication.tracker import DynamicVVTracker, KernelTracker
 from repro.vv.id_source import CentralIdSource, IdAllocationError
 
+KERNEL_FAMILIES = ["version-stamp", "itc", "vv-dynamic", "causal-history"]
 
 TRACKER_FACTORIES = [
-    pytest.param(lambda: StampTracker(), id="stamps"),
-    pytest.param(lambda: ITCTracker(), id="itc"),
+    pytest.param(KernelTracker.factory(family), id=f"kernel-{family}")
+    for family in KERNEL_FAMILIES
+] + [
     pytest.param(lambda: DynamicVVTracker(), id="dynamic-vv"),
 ]
 
@@ -52,23 +50,32 @@ class TestTrackerContract:
 
     def test_cross_kind_operations_rejected(self, factory):
         tracker = factory()
-        other = StampTracker() if isinstance(tracker, ITCTracker) else ITCTracker()
+        other = (
+            DynamicVVTracker()
+            if isinstance(tracker, KernelTracker)
+            else KernelTracker()
+        )
         with pytest.raises(TypeError):
             tracker.joined(other)
         with pytest.raises(TypeError):
             tracker.compare(other)
 
 
-class TestStampTracker:
-    def test_does_not_require_identifier_authority(self):
-        assert not StampTracker().requires_identifier_authority
+@pytest.mark.parametrize("family", KERNEL_FAMILIES)
+class TestKernelTracker:
+    def test_does_not_require_identifier_authority(self, family):
+        assert not KernelTracker(family=family).requires_identifier_authority
 
-    def test_fork_under_partition_succeeds(self):
-        left, right = StampTracker().forked(connected=False)
+    def test_fork_under_partition_succeeds(self, family):
+        left, right = KernelTracker(family=family).forked(connected=False)
         assert left.compare(right) is Ordering.EQUAL
 
-    def test_repr(self):
-        assert "[ε | ε]" in repr(StampTracker())
+    def test_repr_names_the_wrapped_clock(self, family):
+        assert repr(KernelTracker(family=family)).startswith("KernelTracker(")
+
+
+def test_default_kernel_tracker_is_a_version_stamp_seed():
+    assert "[ε | ε]" in repr(KernelTracker())
 
 
 class TestDynamicVVTracker:
@@ -83,11 +90,3 @@ class TestDynamicVVTracker:
 
     def test_repr(self):
         assert "DynamicVVTracker" in repr(DynamicVVTracker())
-
-
-class TestITCTracker:
-    def test_repr(self):
-        assert "ITCTracker" in repr(ITCTracker())
-
-    def test_does_not_require_identifier_authority(self):
-        assert not ITCTracker().requires_identifier_authority

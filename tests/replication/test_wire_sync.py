@@ -24,6 +24,7 @@ import pytest
 from repro.core.errors import ReplicationError
 from repro.replication import (
     AntiEntropy,
+    DynamicVVTracker,
     FullyConnectedNetwork,
     KernelTracker,
     MobileNode,
@@ -214,11 +215,24 @@ class TestWireAccounting:
 
 class TestEngineContract:
     def test_non_kernel_trackers_are_rejected(self):
-        first = StoreReplica("a")  # default StampTracker: no byte form
-        second = StoreReplica("b")
+        first = StoreReplica("a", tracker_factory=DynamicVVTracker)  # no byte form
+        second = StoreReplica("b", tracker_factory=DynamicVVTracker)
         first.put("k", 1)
         with pytest.raises(ReplicationError):
             WireSyncEngine().sync(first, second)
+
+    def test_default_stores_sync_over_the_wire(self):
+        first = StoreReplica("a")
+        second = StoreReplica("b")
+        first.put("k", 1)
+        engine = WireSyncEngine()
+        engine.sync(first, second)
+        assert second.get("k") == [1]
+        assert second.tracker_of("k").family == "version-stamp"
+        second.put("k", 2)
+        engine.sync(first, second)
+        assert first.get("k") == [2]
+        assert engine.stamps_shipped > 0
 
     def test_self_sync_is_rejected(self):
         store = StoreReplica("a", tracker_factory=KernelTracker.factory("itc"))
