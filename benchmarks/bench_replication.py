@@ -57,7 +57,11 @@ def test_partitioned_replication_with_stamps(benchmark, experiment):
     nodes, gossip, rounds = benchmark.pedantic(_partitioned_scenario, rounds=1, iterations=1)
 
     report = experiment("SYNC-partitioned", "Optimistic replication across a partition")
-    report.add("population converges after healing", "yes", rounds is not None)
+    report.add(
+        "population converges after healing",
+        "yes",
+        "yes" if rounds is not None else "no",
+    )
     report.add(
         "'shared' key ends with both concurrent edits as siblings",
         ["left edit", "right edit"],
@@ -82,6 +86,7 @@ def test_partitioned_replication_with_stamps(benchmark, experiment):
     assert rounds is not None
     assert sorted(nodes[0].read("shared")) == ["left edit", "right edit"]
     assert nodes[3].read("left-only") == [1]
+    assert report.ok
 
 
 def test_identifier_authority_failure_of_the_baseline(benchmark, experiment):
@@ -116,6 +121,7 @@ def test_identifier_authority_failure_of_the_baseline(benchmark, experiment):
     )
     assert failures == 50
     assert stamp_refusals == 0
+    assert report.ok
 
 
 def test_anti_entropy_convergence_scaling(benchmark, experiment):
@@ -143,3 +149,4 @@ def test_anti_entropy_convergence_scaling(benchmark, experiment):
             matches=rounds is not None,
         )
     assert all(rounds is not None for rounds in results.values())
+    assert report.ok

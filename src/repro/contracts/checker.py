@@ -15,7 +15,7 @@ asked of causal metadata are :meth:`~repro.replication.tracker.
 CausalityTracker.dominates` / :meth:`~repro.replication.tracker.
 CausalityTracker.stale_or_concurrent` and one
 :meth:`~repro.replication.tracker.CausalityTracker.compare` for mutual
-exclusion, so any registered kernel family (and the in-memory dynamic-VV
+exclusion, so any registered kernel family (and the dynamic-VV
 baseline) enforces identically.
 
 Epoch soundness

@@ -20,8 +20,8 @@ moment: right after :meth:`~repro.replication.synchronizer.AntiEntropy.
 compact_key` re-roots a key, the old epoch's records describe identifier
 space that no longer exists, so the store snapshots and drops them.
 
-Only kernel-tracked stores can be durable: the in-memory dynamic-VV
-baseline tracker has no byte form, and inventing a private pickle for it
+Only kernel-tracked stores can be durable: the dynamic-VV baseline
+tracker has no byte form, and inventing a private pickle for it
 would break the "snapshot = wire state" property the recovery proof
 rests on.
 """

@@ -68,18 +68,9 @@ class MobileNode:
         store = StoreReplica(node_id, tracker_factory=tracker_factory, policy=policy)
         return cls(node_id, store, network)
 
-    def spawn_peer(self, node_id: str, *, connected: Optional[bool] = None) -> "MobileNode":
-        """Create a new node by forking this node's replica.
-
-        ``connected`` describes whether this node can currently reach an
-        identifier authority; it defaults to whether the network reports any
-        reachable peer, and it only matters for identifier-dependent trackers
-        (the dynamic-version-vector baseline).
-        """
-        if connected is None:
-            connected = True
-        store = self.store.fork(node_id, connected=connected)
-        return MobileNode(node_id, store, self.network)
+    def spawn_peer(self, node_id: str) -> "MobileNode":
+        """Create a new node by forking this node's replica."""
+        return MobileNode(node_id, self.store.fork(node_id), self.network)
 
     # -- operation ----------------------------------------------------------
 
@@ -168,15 +159,16 @@ class MobileNode:
     def sync_with(self, other: "MobileNode", *, engine=None) -> MergeReport:
         """Synchronize stores with ``other`` if the network allows it.
 
-        With ``engine`` (a :class:`~repro.replication.synchronizer.
-        WireSyncEngine`) the exchange runs over the kernel wire formats --
-        batched streams or per-stamp envelopes -- instead of the in-memory
-        tracker handoff.
+        The exchange runs on ``engine`` (a :class:`~repro.replication.
+        synchronizer.WireSyncEngine`), or on a fresh one when omitted
+        (:meth:`StoreReplica.sync_with`).
 
         Raises
         ------
         ReplicationError
-            If the two nodes are currently partitioned from each other.
+            If the two nodes are currently partitioned from each other,
+            or the engine rejects the stores (e.g. trackers without a
+            byte form).
         """
         self.sync_attempts += 1
         if not self.can_reach(other):
@@ -187,13 +179,6 @@ class MobileNode:
         if engine is not None:
             return engine.sync(self.store, other.store)
         return self.store.sync_with(other.store)
-
-    def try_sync_with(self, other: "MobileNode", *, engine=None) -> Optional[MergeReport]:
-        """Like :meth:`sync_with` but returns ``None`` instead of raising."""
-        try:
-            return self.sync_with(other, engine=engine)
-        except ReplicationError:
-            return None
 
     def __repr__(self) -> str:
         return f"MobileNode({self.node_id!r})"

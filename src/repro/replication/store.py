@@ -20,7 +20,13 @@ compares the live trackers of the two replicas being synchronized:
 * a pairwise synchronization compares the two live trackers, moves values in
   the direction causality dictates (or keeps both as siblings on a genuine
   conflict), and then joins-and-forks the trackers so both replicas continue
-  with combined knowledge and distinct identities (Section 1.1).
+  with combined knowledge and distinct identities (Section 1.1);
+* a causally EQUAL pair keeps its trackers: both sides already hold the
+  same knowledge, so a join-and-fork would only grow the metadata.
+
+Every pairwise synchronization runs over the wire, through
+:meth:`repro.replication.synchronizer.WireSyncEngine.session`;
+:meth:`StoreReplica.sync_with` is that engine's one-call form.
 
 Sibling values carry no stamps of their own -- they are simply the set of
 candidate values for the key; the next causally-dominating write supersedes
@@ -391,47 +397,18 @@ class StoreReplica:
 
     # -- reconciliation ------------------------------------------------------
 
-    def _sync_key(self, key: str, other: "StoreReplica", report: MergeReport) -> None:
-        mine = self._keys.get(key)
-        theirs = other._keys.get(key)
-        report.keys_examined += 1
-
-        if mine is None and theirs is None:
-            return
-        if mine is None or theirs is None:
-            # Replicate towards the side that does not hold the key yet by
-            # forking the holder's tracker.
-            holder, receiver = (self, other) if theirs is None else (other, self)
-            state = holder._keys[key]
-            local, remote = state.tracker.forked()
-            state.tracker = local
-            receiver._keys[key] = KeyState(values=list(state.values), tracker=remote)
-            state.independently_created = False
-            report.keys_replicated += 1
-            report.values_taken += len(state.values)
-            return
-
-        self._merge_key_states(mine, theirs, report)
-
     def _merge_key_states(
-        self,
-        mine: KeyState,
-        theirs: KeyState,
-        report: MergeReport,
-        *,
-        refork_equal: bool = True,
+        self, mine: KeyState, theirs: KeyState, report: MergeReport
     ) -> None:
         """Reconcile two held key states (values + trackers) in place.
 
-        The core of a pairwise synchronization, shared between the
-        in-memory path (:meth:`_sync_key`) and the wire sync engine, which
-        substitutes ``theirs.tracker`` with metadata decoded off the wire
-        before calling in.  With ``refork_equal=False`` a pair of causally
-        EQUAL trackers is left untouched -- both already carry identical
-        knowledge, so the join-and-fork would only churn metadata.  The
-        wire engine relies on that stability: unchanged trackers re-ship
-        as byte-identical frames, which its decode intern turns into
-        dictionary hits.
+        The per-key core of a pairwise synchronization.  The wire sync
+        engine calls it with ``theirs.tracker`` substituted by metadata
+        decoded off the wire.  A pair of causally EQUAL trackers is left
+        untouched -- both already carry identical knowledge, so the
+        join-and-fork would only churn metadata.  The engine relies on
+        that stability: unchanged trackers re-ship as byte-identical
+        frames, which its decode intern turns into dictionary hits.
 
         Epoch-gossip straggler upgrade: when the two trackers disagree on
         their re-rooting epoch, the older-epoch side is a straggler that
@@ -484,12 +461,10 @@ class StoreReplica:
             report.values_dropped_stale += len(theirs.values)
             theirs.values = list(mine.values)
             report.values_taken += len(mine.values)
-        elif not refork_equal:
-            # EQUAL and stability requested: both sides already hold the
-            # same version with equivalent causal knowledge.
+        else:
+            # EQUAL: both sides already hold the same version with
+            # equivalent causal knowledge.
             return
-        # EQUAL (refork path): both sides already hold the same version;
-        # nothing to move, but knowledge is still combined below.
 
         joined = mine.tracker.joined(theirs.tracker)
         if relation is Ordering.CONCURRENT and self._policy.collapses:
@@ -505,20 +480,17 @@ class StoreReplica:
     def sync_with(self, other: "StoreReplica") -> MergeReport:
         """Two-way reconciliation: both replicas end with the same keys and
         values, with combined causal knowledge per key (Section 1.1).
+
+        One call of a fresh :class:`~repro.replication.synchronizer.
+        WireSyncEngine`, so every tracker crosses the codec and causally
+        EQUAL keys keep their trackers.
         """
-        if other is self:
-            raise ReplicationError("a store replica cannot synchronize with itself")
-        report = MergeReport()
-        keys = sorted(set(self._keys) | set(other._keys))
-        for key in keys:
-            self._sync_key(key, other, report)
-        # In memory every examined key is re-forked on both sides (EQUAL
-        # keys too), so every one of them changed.
-        self._commit_sync(other, keys)
-        return report
+        from .synchronizer import WireSyncEngine
+
+        return WireSyncEngine().sync(self, other)
 
     def _commit_sync(self, other: "StoreReplica", keys: Iterable[str]) -> None:
-        """The sync-completion durability barrier.
+        """The sync-completion durability barrier of the wire session.
 
         Journals the post-sync state of ``keys`` -- the keys the sync
         changed, which both replicas now hold -- on both sides, then

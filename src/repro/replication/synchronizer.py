@@ -16,11 +16,12 @@ objects and a :class:`~repro.replication.network.SimulatedNetwork`:
 
 The wire sync engine
 --------------------
-:class:`WireSyncEngine` is the batched replication path: instead of the
-in-memory tracker handoff of :meth:`StoreReplica.sync_with`, every piece of
-causal metadata a pairwise synchronization moves actually crosses a wire
-boundary as bytes.  A reconciliation between stores ``A`` and ``B`` is two
-transfers:
+:class:`WireSyncEngine` is the one pairwise synchronization: every piece
+of causal metadata a sync moves actually crosses a wire boundary as bytes.
+:meth:`StoreReplica.sync_with`, :meth:`MobileNode.sync_with` and
+:class:`AntiEntropy` (with or without ``engine=``) all run its
+:meth:`~WireSyncEngine.session`.  A reconciliation between stores ``A``
+and ``B`` is two transfers:
 
 1. *request* -- ``B`` ships the trackers of every key it holds; batched
    mode frames them as **one stream per (family, epoch) group**
@@ -28,15 +29,15 @@ transfers:
    stamp (the PR-4 baseline);
 2. ``A`` decodes (lazily and through a shared
    :class:`~repro.kernel.stream.InternTable` in batched mode), runs the
-   same per-key merge as the in-memory path, and
+   store's per-key merge, and
 3. *response* -- ships back only the trackers that changed, which ``B``
    installs after decoding, so what a store holds after a wire sync has
    genuinely round-tripped the codec.
 
-Causally EQUAL keys are left untouched (``refork_equal=False``), so the
-steady state of anti-entropy -- most keys unchanged between rounds --
-re-ships byte-identical frames, and the batched engine's intern table
-turns their re-decode into dictionary hits while byte-equality doubles as
+Causally EQUAL keys keep their trackers, so the steady state of
+anti-entropy -- most keys unchanged between rounds -- re-ships
+byte-identical frames, and the batched engine's intern table turns
+their re-decode into dictionary hits while byte-equality doubles as
 a free EQUAL check (the codecs are canonical, so equal bytes mean equal
 clocks).  The per-envelope baseline re-decodes every envelope every round.
 Both modes drive the identical merge logic, so they produce identical
@@ -167,7 +168,7 @@ class RoundReport:
     skipped_partitioned: int = 0
     conflicts_detected: int = 0
     values_exchanged: int = 0
-    #: Wire traffic of the round (zero when syncing in memory).
+    #: Wire traffic of the round.
     messages_sent: int = 0
     bytes_sent: int = 0
     #: Fault economy of the round (all zero on a perfect transport).
@@ -252,11 +253,11 @@ class WireSyncEngine:
         pre-existing transient reporting only.
 
     Both modes run the identical merge logic
-    (:meth:`StoreReplica._merge_key_states` with ``refork_equal=False``),
-    so they produce identical configurations; they differ only in framing
-    and decode strategy.  Values move by reference -- this is a
-    simulation -- but every piece of *causal metadata* a sync transfers
-    crosses the codec boundary as real bytes, in both directions.
+    (:meth:`StoreReplica._merge_key_states`), so they produce identical
+    configurations; they differ only in framing and decode strategy.
+    Values move by reference -- this is a simulation -- but every piece
+    of *causal metadata* a sync transfers crosses the codec boundary as
+    real bytes, in both directions.
 
     Only stores whose keys are tracked by
     :class:`~repro.replication.tracker.KernelTracker` can sync over the
@@ -583,13 +584,13 @@ class WireSyncEngine:
     ) -> MergeReport:
         """Two-way reconciliation of ``first`` and ``second`` over the wire.
 
-        Equivalent to :meth:`StoreReplica.sync_with` except that causally
-        EQUAL keys keep their trackers (metadata stability) and all causal
-        metadata round-trips the codec.  Under a faulty transport the sync
-        is *per-key transactional*: a key whose frames are lost or damaged
-        past the retry budget is either skipped untouched (request leg) or
-        rolled back on both sides (response leg); every other key of the
-        pairwise sync completes normally.
+        :meth:`StoreReplica.sync_with` is this call on a fresh engine.
+        Causally EQUAL keys keep their trackers (metadata stability) and
+        all causal metadata round-trips the codec.  Under a faulty
+        transport the sync is *per-key transactional*: a key whose frames
+        are lost or damaged past the retry budget is either skipped
+        untouched (request leg) or rolled back on both sides (response
+        leg); every other key of the pairwise sync completes normally.
 
         ``keys`` restricts the exchange to the named subset -- the
         sharding hook: every key's merge is independent of every other
@@ -745,7 +746,7 @@ class WireSyncEngine:
             before = self._wrap(remote_clock)
             theirs.tracker = before
             mine_before = mine.tracker
-            first._merge_key_states(mine, theirs, report, refork_equal=False)
+            first._merge_key_states(mine, theirs, report)
             if theirs.tracker is not before:
                 changed.append(key)
             elif mine.tracker is mine_before and not independent:
@@ -834,11 +835,10 @@ class WireSyncEngine:
 class AntiEntropy:
     """Round-based gossip reconciliation over a node population.
 
-    Pass a :class:`WireSyncEngine` as ``engine`` to run every pairwise
-    exchange over the kernel wire formats (batched streams or per-stamp
-    envelopes); each :class:`RoundReport` then carries the round's real
-    message, byte and fault counts.  Without an engine, stores reconcile
-    in memory exactly as before.
+    Every pairwise exchange runs on ``engine``, a :class:`WireSyncEngine`
+    (a fresh batched one when omitted), so each :class:`RoundReport`
+    carries the round's real message, byte and fault counts.  Pass an
+    engine to choose the framing, a faulty transport or a sync history.
 
     With ``compact_threshold_bits`` set, every round ends with a
     decentralized re-rooting sweep: any key whose causal metadata exceeds
@@ -858,7 +858,7 @@ class AntiEntropy:
     ) -> None:
         self.nodes: List[MobileNode] = list(nodes)
         self._rng = rng if rng is not None else random.Random(0)
-        self.engine = engine
+        self.engine = engine if engine is not None else WireSyncEngine()
         self.compact_threshold_bits = compact_threshold_bits
         #: Optional :class:`~repro.contracts.ContractChecker` scanned at
         #: the end of every round (duck-typed: anything with ``scan()``),
@@ -874,7 +874,7 @@ class AntiEntropy:
     @property
     def transport(self) -> Optional[FaultyTransport]:
         """The engine's faulty transport, when one is in play."""
-        return self.engine.transport if self.engine is not None else None
+        return self.engine.transport
 
     def add_node(self, node: MobileNode) -> None:
         """Bring a new node into the gossip population."""
@@ -912,16 +912,15 @@ class AntiEntropy:
         """Run one gossip round: every live node tries to sync with one peer."""
         report = RoundReport(round_number=len(self.reports) + 1)
         engine = self.engine
-        if engine is not None and engine.history is not None:
+        if engine.history is not None:
             engine.history.mark_round(report.round_number)
-        if engine is not None:
-            meter = engine.meter
-            before = (
-                meter.messages,
-                meter.bytes_sent,
-                meter.bytes_delivered,
-                meter.fault_snapshot(),
-            )
+        meter = engine.meter
+        before = (
+            meter.messages,
+            meter.bytes_sent,
+            meter.bytes_delivered,
+            meter.fault_snapshot(),
+        )
         order = list(self.nodes)
         self._rng.shuffle(order)
         for node in order:
@@ -935,27 +934,21 @@ class AntiEntropy:
                 report.skipped_partitioned += 1
                 continue
             peer = self._rng.choice(reachable)
-            merge = node.try_sync_with(peer, engine=engine)
-            if merge is None:
-                report.skipped_partitioned += 1
-            else:
-                report.record(merge)
+            report.record(node.sync_with(peer, engine=engine))
         if self.compact_threshold_bits is not None:
             self._auto_compact()
-        if engine is not None:
-            meter = engine.meter
-            report.messages_sent = meter.messages - before[0]
-            report.bytes_sent = meter.bytes_sent - before[1]
-            delivered = meter.bytes_delivered - before[2]
-            dropped, duplicated, retried, corrupted, latency = before[3]
-            report.dropped = meter.dropped - dropped
-            report.duplicated = meter.duplicated - duplicated
-            report.retried = meter.retried - retried
-            report.corrupted = meter.corrupted - corrupted
-            report.retry_latency = meter.retry_latency - latency
-            report.goodput = (
-                delivered / report.bytes_sent if report.bytes_sent > 0 else 0.0
-            )
+        report.messages_sent = meter.messages - before[0]
+        report.bytes_sent = meter.bytes_sent - before[1]
+        delivered = meter.bytes_delivered - before[2]
+        dropped, duplicated, retried, corrupted, latency = before[3]
+        report.dropped = meter.dropped - dropped
+        report.duplicated = meter.duplicated - duplicated
+        report.retried = meter.retried - retried
+        report.corrupted = meter.corrupted - corrupted
+        report.retry_latency = meter.retry_latency - latency
+        report.goodput = (
+            delivered / report.bytes_sent if report.bytes_sent > 0 else 0.0
+        )
         self.reports.append(report)
         if self.checker is not None:
             self.checker.scan()
@@ -971,11 +964,6 @@ class AntiEntropy:
         return results
 
     # -- decentralized re-rooting (epoch gossip) ---------------------------
-
-    def _pairwise(self, node: MobileNode, other: MobileNode) -> MergeReport:
-        if self.engine is not None:
-            return self.engine.sync(node.store, other.store)
-        return node.store.sync_with(other.store)
 
     def _auto_compact(self) -> None:
         threshold = self.compact_threshold_bits
@@ -1090,7 +1078,7 @@ class AntiEntropy:
             hub = holders[0]
             for _sweep in range(2):
                 for other in holders[1:]:
-                    self._pairwise(hub, other)
+                    self.engine.sync(hub.store, other.store)
             states = self._common_knowledge(key, holders)
             if states is None:
                 return False

@@ -22,8 +22,11 @@ implementations:
 * :class:`DynamicVVTracker` is the identifier-authority baseline: its
   forks draw replica identifiers from a shared
   :class:`~repro.vv.id_source.IdSource` and fail when a central source is
-  unreachable.  It has no byte form, so it runs only on the in-memory
-  sync path.
+  unreachable.  It has no byte form, so nothing syncs it: the wire sync
+  engine, which every pairwise sync runs, rejects it with a typed
+  :class:`~repro.core.errors.ReplicationError`.  It stays as the
+  fork-only baseline: SYNC-identity and ``examples/mobile_sync.py``
+  measure its forks failing without the authority.
 
 Having the baseline behind the same interface is what lets the end-to-end
 replication benchmarks swap the mechanism without touching the scenario.
@@ -111,7 +114,7 @@ class CausalityTracker:
     def to_bytes(self) -> bytes:
         """The tracker's canonical wire envelope.
 
-        Only :class:`KernelTracker` has one; the in-memory baseline
+        Only :class:`KernelTracker` has one; the dynamic-VV baseline
         raises a typed error so the wire sync engine and the durable store
         layer reject it up front instead of inventing a private pickle
         (which would break the canonical-bytes property both rely on).

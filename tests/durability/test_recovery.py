@@ -82,6 +82,7 @@ class TestRecoveryEquality:
         assert_lockstep_equal(recovered, a)
 
     def test_in_memory_sync_recovers_exactly(self, tmp_path, family, backend):
+        """``sync_with`` (one wire session) against a non-durable fork."""
         a = durable_store(tmp_path, family, backend)
         a.put("k", "seed")
         b = a.fork("b")
@@ -94,6 +95,7 @@ class TestRecoveryEquality:
         assert recovered.has_conflict("k")
 
     def test_in_memory_sync_recovers_both_sides(self, tmp_path, family, backend):
+        """``sync_with`` (one wire session) journals both durable sides."""
         a = durable_store(tmp_path, family, backend)
         b = durable_store(tmp_path, family, backend, name="b")
         a.put("k", "seed")

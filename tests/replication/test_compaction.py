@@ -72,10 +72,6 @@ def _wire_sync(engine):
     return lambda first, second: engine.sync(first.store, second.store)
 
 
-def _memory_sync(first, second):
-    first.store.sync_with(second.store)
-
-
 def _siblings(node, key="k"):
     return sorted(repr(value) for value in node.read(key))
 
@@ -147,7 +143,6 @@ class TestCheckSweepCheckBump:
 
 
 @pytest.mark.parametrize("family", FAMILIES)
-@pytest.mark.parametrize("path", ["wire", "memory"])
 @pytest.mark.xfail(
     strict=True,
     raises=AssertionError,
@@ -156,8 +151,7 @@ class TestCheckSweepCheckBump:
         "decides the sibling set of replicas whose trackers compare EQUAL"
     ),
 )
-def test_equal_trackers_hold_identical_siblings(family, path):
-    sync = _wire_sync(WireSyncEngine()) if path == "wire" else _memory_sync
-    nodes = _equal_but_different(family, sync)
+def test_equal_trackers_hold_identical_siblings(family):
+    nodes = _equal_but_different(family, _wire_sync(WireSyncEngine()))
     p, x = nodes["p"], nodes["x"]
     assert not _pairwise_equal([p, x]) or _siblings(p) == _siblings(x)

@@ -4,15 +4,19 @@ import random
 
 import pytest
 
+from repro import kernel
 from repro.core.errors import ReplicationError
 from repro.replication.network import FullyConnectedNetwork, PartitionedNetwork
 from repro.replication.node import MobileNode, replicas_agree
-from repro.replication.synchronizer import AntiEntropy
+from repro.replication.synchronizer import AntiEntropy, WireSyncEngine
+from repro.replication.tracker import DynamicVVTracker, KernelTracker
 
 
-def _population(network, count=4):
+def _population(network, count=4, family="version-stamp"):
     """Build ``count`` nodes forked from a single seed node."""
-    first = MobileNode.first("n0", network)
+    first = MobileNode.first(
+        "n0", network, tracker_factory=KernelTracker.factory(family)
+    )
     nodes = [first]
     for index in range(1, count):
         nodes.append(nodes[-1].spawn_peer(f"n{index}"))
@@ -39,12 +43,6 @@ class TestMobileNode:
         with pytest.raises(ReplicationError):
             first.sync_with(second)
         assert first.sync_failures == 1
-
-    def test_try_sync_returns_none_when_partitioned(self):
-        network = PartitionedNetwork([["n0"], ["n1"]])
-        first = MobileNode.first("n0", network)
-        second = first.spawn_peer("n1")
-        assert first.try_sync_with(second) is None
 
     def test_sync_propagates_writes(self):
         network = FullyConnectedNetwork()
@@ -141,6 +139,35 @@ class TestAntiEntropy:
         gossip = AntiEntropy(nodes)
         gossip.run_round()
         assert gossip.converged()
+
+    @pytest.mark.parametrize("explicit", [False, True], ids=["default", "explicit"])
+    def test_engine_errors_propagate_out_of_the_round(self, explicit):
+        # Peers are filtered by reachability before the sync, so an error
+        # the engine raises is not a partition: here the dynamic-VV
+        # baseline's trackers have no byte form to ship.
+        first = MobileNode.first(
+            "n0", FullyConnectedNetwork(), tracker_factory=DynamicVVTracker
+        )
+        first.write("k", 1)
+        nodes = [first, first.spawn_peer("n1")]
+        options = {"engine": WireSyncEngine()} if explicit else {}
+        gossip = AntiEntropy(nodes, rng=random.Random(1), **options)
+        with pytest.raises(ReplicationError, match="kernel clock trackers"):
+            gossip.run_round()
+
+    @pytest.mark.parametrize("family", kernel.families())
+    def test_default_gossip_keeps_equal_trackers(self, family):
+        nodes = _population(FullyConnectedNetwork(), 5, family)
+        for index, node in enumerate(nodes):
+            node.write(f"key-{index}", index)
+        gossip = AntiEntropy(nodes, rng=random.Random(1))
+        assert gossip.rounds_to_convergence(max_rounds=20) is not None
+        bits = gossip.total_metadata_bits()
+        gossip.run(4)
+        # Converged keys compare EQUAL everywhere, so idle rounds re-ship
+        # the same trackers and change none of them.
+        assert gossip.total_metadata_bits() == bits
+        assert all(report.messages_sent > 0 for report in gossip.reports)
 
 
 class TestReplicasAgree:

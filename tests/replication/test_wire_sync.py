@@ -9,7 +9,8 @@ The contract under test:
   envelope per stamp -- and both match the configuration the
   causal-history oracle family produces for the same scenario, so the
   batching layer cannot change what replication converges to.
-* Wire sync converges to the same values as the in-memory sync path.
+* Default gossip (no ``engine=``) runs a fresh wire engine: it does the
+  same work and reaches the same state as an explicit one.
 * Every stamp a sync moves really crosses the codec (meter accounting:
   batched rounds send one stream per peer pair and direction, per-envelope
   rounds one message per stamp).
@@ -129,21 +130,19 @@ class TestLockstep:
         assert our_conflicts == oracle_conflicts
 
     @pytest.mark.parametrize("family", FAMILIES)
-    def test_wire_sync_converges_to_in_memory_values(self, family):
-        # Kept deliberately tiny: the in-memory arm re-forks trackers on
-        # every EQUAL exchange, so version stamps compound in size ~5x per
-        # gossip round (the PR 3 growth pathology) -- the wire arm's EQUAL
-        # stability is precisely what avoids that, and is why the engine
-        # can run populations the in-memory path cannot.
+    def test_default_gossip_matches_an_explicit_engine(self, family):
         shape = dict(seed=3, keys=3, rounds=3, settle=2)
-        wired, _, _, wired_gossip = _run_scenario(
+        explicit, _, _, explicit_gossip = _run_scenario(
             family, batched=True, replicas=3, **shape
         )
         nodes = _population(family, 3)
         gossip = AntiEntropy(nodes, rng=random.Random(3))
-        in_memory = _drive(nodes, gossip, **shape)
-        assert wired == in_memory
-        assert wired_gossip.converged()
+        default = _drive(nodes, gossip, **shape)
+        assert default == explicit
+        assert [report.bytes_sent for report in gossip.reports] == [
+            report.bytes_sent for report in explicit_gossip.reports
+        ]
+        assert gossip.converged()
 
 
 class TestWireAccounting:
@@ -241,8 +240,8 @@ class TestEngineContract:
 
     def test_independent_creation_conflict_survives_the_wire(self):
         # Two replicas independently create the same key: the wire path
-        # must flag the independent origins exactly like the in-memory
-        # path, even when the tracker bytes happen to be identical.
+        # must flag the independent origins as a conflict, even when the
+        # tracker bytes happen to be identical.
         for batched in (True, False):
             first = StoreReplica(
                 "a", tracker_factory=KernelTracker.factory("version-stamp")
