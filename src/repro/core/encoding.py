@@ -21,19 +21,24 @@ input.
 Fast path
 ---------
 The byte form (:func:`stamp_to_bytes` / :func:`stamp_from_bytes`) never
-materializes a Python list of 0/1 ints.  Encoding walks the lex-sorted
-packed codes of each name directly (lexicographic order *is* trie
-pre-order, so the child partition of any trie node is one contiguous run)
-and accumulates the bit stream in a single arbitrary-precision integer
-that one bulk ``int.to_bytes`` turns into the payload; decoding is the
-inverse -- one bulk ``int.from_bytes``, then an iterative trie walk
-reading bits straight off the integer and appending packed codes in
-pre-order, which lands them already in the canonical sorted order
-:meth:`Name._from_codes` wants.  Trie leaves are prefix-free by
-construction, so the decoded codes are an antichain without a validation
-pass.  The list-based functions (:func:`name_to_bitstream` and friends)
-are retained as the readable reference implementation and are pinned to
-the fast path by differential tests.
+materializes a Python list of 0/1 ints.  Encoding walks each name's
+lex-sorted packed codes once (lexicographic order *is* trie pre-order)
+and renders the trie as a ``'0'``/``'1'`` string with a constant number
+of C-level string operations per leaf -- ``bin``, ``str.count``, slicing
+and one ``str.translate`` -- so the time is linear in the encoded bits;
+one ``int(bits, 2)`` and one bulk ``int.to_bytes`` then make the payload,
+and :func:`encoded_size_bits` just takes the string lengths.  Decoding is
+the inverse -- one bulk ``int.from_bytes`` rendered as a string, then an
+iterative trie walk appending packed codes in pre-order, which lands
+them already in the canonical sorted order :meth:`Name._from_codes`
+wants.  Trie leaves are prefix-free by construction, so the decoded codes
+are an antichain without a validation pass.  Both walks are iterative,
+so stamp depth is bounded only by the 16-bit length prefix.  Both
+decoders reject a non-member node without children below the root, the
+one redundancy the format admits, so distinct payloads never decode to
+equal stamps.  The list-based functions (:func:`name_to_bitstream` and
+friends) are retained as the readable reference implementation and are
+pinned to the fast path by differential tests.
 """
 
 from __future__ import annotations
@@ -194,15 +199,25 @@ class _BitReader:
         return len(self._bits) - self._position
 
 
+#: The one redundancy the trie format admits: a non-member node with
+#: neither child adds nothing to the name.  Only the root of the empty
+#: name may be childless, so both decoders reject it anywhere else.
+_CHILDLESS = "non-canonical trie: a non-member node at depth {} has no children"
+
+
 def _read_trie(reader: _BitReader, prefix: BitString, strings: List[BitString]) -> None:
     member = reader.read()
     if member:
         strings.append(prefix)
         return
+    children = 0
     for bit in (0, 1):
         present = reader.read()
         if present:
+            children += 1
             _read_trie(reader, prefix.append(bit), strings)
+    if not children and len(prefix):
+        raise EncodingError(_CHILDLESS.format(len(prefix)))
 
 
 def name_from_bitstream(bits: Iterable[int]) -> Name:
@@ -258,56 +273,69 @@ def _bind_wire() -> None:
     _wire = wire
 
 
-def _emit_name_packed(codes, lo, hi, depth, value, count):
-    """Emit the trie of ``codes[lo:hi]`` (all sharing ``depth`` leading bits)
-    into the packed accumulator, returning the updated ``(value, count)``.
+#: Renders a name's pre-order walk in one ``str.translate``.  Path bits
+#: are descent steps through non-member nodes: a ``0`` step is the node's
+#: member bit and a present left child (``01``); a ``1`` step is the
+#: member bit, an absent left child and a present right child (``001``).
+#: ``a`` and ``b`` stand for literal ``0`` and ``1`` bits: right-presence
+#: bits and member leaves.
+_TRIE_STEPS = str.maketrans({"0": "01", "1": "001", "a": "0", "b": "1"})
 
-    ``codes`` is a lex-sorted antichain of sentinel-prefixed packed codes;
-    because lex order is trie pre-order, each child subtree is a contiguous
-    slice found with one linear partition scan, so the whole walk is
-    O(total bits) with no trie dictionary ever built.
+
+def _name_bits(name: Name) -> str:
+    """The trie encoding of ``name`` as a ``'0'``/``'1'`` string.
+
+    Lex order is trie pre-order, so one pass over the sorted codes visits
+    the leaves in encoding order, with a constant number of C-level
+    string operations per leaf:
+
+    * the first leaf descends its whole path and emits its member bit;
+    * from each leaf the walk climbs to the node where the next leaf
+      splits off -- the first bit at which the two codes differ, where
+      the leaf went left and the next goes right.  Each left turn the
+      leaf took below that node closes a node with no right child (one
+      ``0`` each, counted with ``str.count``); the split node gets a
+      right child (``1``), and the next leaf descends the rest of its
+      path;
+    * after the last leaf, each left turn on its path closes a node with
+      no right child.
+
+    Iterative, so every depth the 16-bit length prefix admits encodes.
     """
-    code = codes[lo]
-    if code.bit_length() - 1 == depth:
-        # The shared prefix itself is a member: an antichain has nothing
-        # below it, so this is a leaf (and lo + 1 == hi).
-        return (value << 1) | 1, count + 1
-    value <<= 1  # member? no
-    count += 1
-    mid = lo
-    while mid < hi:
-        c = codes[mid]
-        if (c >> (c.bit_length() - 2 - depth)) & 1:
-            break
-        mid += 1
-    if mid > lo:
-        value, count = _emit_name_packed(
-            codes, lo, mid, depth + 1, (value << 1) | 1, count + 1
-        )
-    else:
-        value <<= 1
-        count += 1
-    if hi > mid:
-        return _emit_name_packed(
-            codes, mid, hi, depth + 1, (value << 1) | 1, count + 1
-        )
-    return value << 1, count + 1
+    codes = name._codes
+    if not codes:
+        return "000"  # the root: not a member, no children
+    prev_code = codes[0]
+    prev = bin(prev_code)  # "0b1" + the path bits
+    parts = [prev[3:], "b"]
+    for code in codes[1:]:
+        path = bin(code)
+        # ``split``: depth of the node where ``code`` splits off, i.e. the
+        # first path bit where the codes differ once aligned at the top.
+        shift = len(prev) - len(path)
+        if shift >= 0:
+            split = len(path) - 3 - ((prev_code >> shift) ^ code).bit_length()
+        else:
+            split = len(prev) - 3 - (prev_code ^ (code >> -shift)).bit_length()
+        parts.append("a" * prev.count("0", split + 4))
+        parts.append("b")
+        parts.append(path[split + 4:])
+        parts.append("b")
+        prev_code, prev = code, path
+    parts.append("a" * prev.count("0", 3))
+    return "".join(parts).translate(_TRIE_STEPS)
 
 
 def name_to_packed(name: Name) -> Tuple[int, int]:
     """The trie encoding of ``name`` as a packed ``(value, count)`` pair."""
-    codes = name._codes
-    if not codes:
-        # Single non-member node with no children: bits 0 0 0.
-        return 0, 3
-    return _emit_name_packed(codes, 0, len(codes), 0, 0, 0)
+    bits = _name_bits(name)
+    return int(bits, 2), len(bits)
 
 
 def stamp_to_packed(stamp: VersionStamp) -> Tuple[int, int]:
     """The full stamp bit stream as one packed ``(value, count)`` pair."""
-    value, count = name_to_packed(stamp.update_component)
-    id_value, id_count = name_to_packed(stamp.identity)
-    return (value << id_count) | id_value, count + id_count
+    bits = _name_bits(stamp.update_component) + _name_bits(stamp.identity)
+    return int(bits, 2), len(bits)
 
 
 def _read_name_codes(bits, pos):
@@ -321,7 +349,9 @@ def _read_name_codes(bits, pos):
     :meth:`Name._from_codes` directly.  Iterative (explicit stack) so a
     deep crafted payload cannot blow the interpreter stack; running off
     the end of ``bits`` surfaces as ``IndexError`` for the caller to remap
-    to a typed truncation error.
+    to a typed truncation error.  A non-member node without children
+    below the root raises :class:`EncodingError`: it would decode to the
+    same name as the trie without it, and the codec is canonical.
     """
     codes = []
     # Allocation-free DFS: ``prefix`` carries the current path (sentinel
@@ -336,16 +366,22 @@ def _read_name_codes(bits, pos):
         if bits[pos] == "1":  # member leaf
             pos += 1
             codes.append(prefix)
-        else:
-            pos += 1
+        elif bits[pos + 1] == "1":  # left child present: descend
+            pos += 2
             pending |= 1 << depth
-            if bits[pos] == "1":  # left child present: descend
-                pos += 1
-                prefix <<= 1
-                depth += 1
-                continue
-            pos += 1
-        # Subtree finished: resume at the deepest pending right-presence.
+            prefix <<= 1
+            depth += 1
+            continue
+        elif bits[pos + 2] == "1":  # right child only: descend
+            pos += 3
+            prefix = (prefix << 1) | 1
+            depth += 1
+            continue
+        elif depth:
+            raise EncodingError(_CHILDLESS.format(depth))
+        else:
+            return codes, pos + 3  # a childless root: the empty name
+        # Leaf done: resume at the deepest pending right-presence.
         while True:
             if not pending:
                 return codes, pos
@@ -382,7 +418,8 @@ def stamp_to_bytes(stamp: VersionStamp) -> bytes:
     The packing (and its canonical-form validation on decode) is the
     length-prefixed packed-bits codec shared with the other bit-level
     codecs (:mod:`repro.kernel.wire`); the bit stream is built as one
-    packed integer and converted with a single bulk ``int.to_bytes``.
+    string, parsed with one ``int(bits, 2)`` and converted with a single
+    bulk ``int.to_bytes``.
     """
     if _wire is None:
         _bind_wire()
@@ -451,9 +488,7 @@ def stamp_from_bytes(payload, *, reducing: bool = True) -> VersionStamp:
 
 def encoded_size_bits(stamp: VersionStamp) -> int:
     """Exact size, in bits, of the compact binary encoding of ``stamp``."""
-    _, update_count = name_to_packed(stamp.update_component)
-    _, identity_count = name_to_packed(stamp.identity)
-    return update_count + identity_count
+    return len(_name_bits(stamp.update_component)) + len(_name_bits(stamp.identity))
 
 
 def encoded_size_bytes(stamp: VersionStamp) -> int:

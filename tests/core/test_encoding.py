@@ -126,11 +126,40 @@ class TestBinaryCodec:
         large = VersionStamp.parse("[ε | 000+001+01+1]", reducing=False)
         assert encoded_size_bits(large) > encoded_size_bits(small)
 
+    def test_deep_fork_chain_round_trips(self):
+        # 1,200 forks in a line give an id 1,200 bits deep: well inside the
+        # 16-bit length prefix, far beyond a recursive trie walk.
+        from repro import kernel
+
+        stamp = VersionStamp.seed()
+        for _ in range(1200):
+            stamp, _ = stamp.fork()
+        payload = stamp_to_bytes(stamp)
+        assert stamp_from_bytes(payload) == stamp
+        assert encoded_size_bits(stamp) == int.from_bytes(payload[:2], "big")
+        clock = kernel.VersionStampClock(stamp)
+        assert kernel.from_bytes(clock.to_bytes()) == clock
+
+    def test_childless_non_member_node_rejected(self):
+        # Both payloads read as [1 | 1]; the second adds an empty left
+        # subtree under the update trie's root.  Only the first is canonical.
+        from repro.kernel.wire import bits_from_length_prefixed
+
+        stamp = VersionStamp.parse("[1 | 1]")
+        canonical = bytes.fromhex("000833")
+        padded = bytes.fromhex("000b4660")
+        assert stamp_to_bytes(stamp) == canonical
+        assert stamp_from_bytes(canonical) == stamp
+        with pytest.raises(EncodingError):
+            stamp_from_bytes(padded)
+        with pytest.raises(EncodingError):
+            stamp_from_bitstream(bits_from_length_prefixed(padded, count_bytes=2))
+
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.testing import kernel_clocks
+from repro.testing import kernel_clocks, names
 
 
 @st.composite
@@ -197,6 +226,14 @@ class TestPackedFastPath:
         except EncodingError:
             reference = "rejected"
         assert fast == reference
+
+    @settings(max_examples=200, deadline=None)
+    @given(name=names(max_strings=300, max_length=64))
+    def test_packed_encode_matches_list_reference_on_large_names(self, name):
+        from repro.core.encoding import name_to_packed
+
+        bits = name_to_bitstream(name)
+        assert name_to_packed(name) == (int("".join(map(str, bits)), 2), len(bits))
 
     def test_decode_accepts_memoryview(self):
         stamp = VersionStamp.parse("[00+01 | 00+01+1]")

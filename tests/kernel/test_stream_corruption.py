@@ -21,7 +21,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.core.errors import EncodingError
-from repro.kernel.stream import decode_stream, encode_stream
+from repro.core.stamp import VersionStamp
+from repro.kernel import VersionStampClock
+from repro.kernel.stream import STREAM_HEADER_SIZE, decode_stream, encode_stream
 from repro.testing import kernel_clocks
 
 FAMILIES = ["version-stamp", "itc", "vv-dynamic", "causal-history"]
@@ -58,3 +60,60 @@ def test_single_bit_flip_is_rejected_or_roundtrips_identically(family, data):
         "a single-bit flip survived decoding but re-encodes differently: "
         "silent corruption"
     )
+
+
+def _assert_frames_reencode_as_received(blob):
+    """Every frame that decodes runs its family encoder back to its bytes.
+
+    The stream seeds each decoded clock's payload cache with the frame it
+    came from, so re-encoding the stream only proves the framing.
+    ``with_epoch`` builds a fresh clock without that cache, so this
+    checks the payload codec itself: a non-canonical payload that
+    decodes would re-encode to different bytes.
+    """
+    try:
+        stream = decode_stream(blob)
+    except EncodingError:
+        return
+    for index in range(len(stream)):
+        try:
+            clock = stream[index]
+        except EncodingError:
+            continue
+        rebuilt = clock.with_epoch(clock.epoch)
+        assert rebuilt.payload_bytes() == bytes(stream.frame_bytes(index)), (
+            f"frame {index} decoded from a non-canonical payload"
+        )
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@given(data=st.data())
+def test_single_bit_flip_in_frames_leaves_only_canonical_payloads(family, data):
+    clocks = data.draw(
+        st.lists(kernel_clocks(family, max_epoch=0), min_size=1, max_size=4),
+        label="clocks",
+    )
+    blob = encode_stream(clocks)
+    position = data.draw(
+        st.integers(min_value=STREAM_HEADER_SIZE * 8, max_value=len(blob) * 8 - 1),
+        label="bit",
+    )
+    damaged = bytearray(blob)
+    damaged[position // 8] ^= 1 << (position % 8)
+    _assert_frames_reencode_as_received(bytes(damaged))
+
+
+def test_non_canonical_version_stamp_frame_is_rejected():
+    # The trie payload 000b4660 reads as [1 | 1] plus an empty subtree;
+    # [1 | 1] itself encodes to 000833.
+    clock = VersionStampClock(VersionStamp.parse("[1 | 1]"))
+    assert clock.payload_bytes() == b"\x01" + bytes.fromhex("000833")
+    padded = b"\x01" + bytes.fromhex("000b4660")
+    blob = (
+        encode_stream([clock])[:STREAM_HEADER_SIZE]
+        + len(padded).to_bytes(4, "big")
+        + padded
+    )
+    _assert_frames_reencode_as_received(blob)
+    with pytest.raises(EncodingError):
+        decode_stream(blob)[0]
