@@ -1,7 +1,7 @@
 """Fail CI when a fresh perf snapshot regresses below the committed floors.
 
 Compares two ``BENCH_ops.json`` files -- the committed snapshot (the floor)
-and a freshly measured one -- on the two tracked *speedup ratios*:
+and a freshly measured one -- on ten tracked ratios:
 
 * ``join_normalize[<frontier>].speedup_vs_reference`` (packed stamp core vs
   the text-based seed implementation), at frontier 32 by default;
@@ -39,9 +39,14 @@ and a freshly measured one -- on the two tracked *speedup ratios*:
 
 Ratios rather than absolute ops/sec are checked because both sides of each
 ratio run on the same machine in the same process, so the ratio is stable
-across runner hardware while absolute throughput is not.  A tolerance
-(default 30%) absorbs scheduler noise on shared CI runners: the check fails
-only when ``fresh < committed * (1 - tolerance)``.
+across runner hardware while absolute throughput is not.  For the seven
+timed ratios a tolerance (default 30%) absorbs scheduler noise on shared CI
+runners: the check fails only when ``fresh < committed * (1 - tolerance)``.
+The three deterministic ratios (chaos, health and scale) are seeded counts
+and virtual times, so they are compared exactly instead: the check fails
+when one moves more than a relative 1e-6 from the committed value, in
+either direction.  A PR that changes one on purpose commits the new value
+and says why.
 
 A top-level section *wholly absent from the committed snapshot* is skipped
 with a note instead of failing: the committed file predates the section,
@@ -64,11 +69,25 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
 DEFAULT_TOLERANCE = 0.30
 JOIN_NORMALIZE_FRONTIER = "32"
+
+#: Ratios of seeded counts and virtual times: bit-identical across machines
+#: and runs, so any drift is a behaviour change, not noise.
+DETERMINISTIC_RATIOS = frozenset(
+    {
+        "chaos.convergence_efficiency",
+        "health.grey_resilience",
+        "scale.convergence_efficiency",
+    }
+)
+#: Relative drift allowed on a deterministic ratio: room for last-digit
+#: float differences between platforms, far below any behaviour change.
+DETERMINISTIC_TOLERANCE = 1e-6
 
 #: Sections whose floors are already committed.  These may never be
 #: skipped: deleting one from the committed snapshot must fail the check,
@@ -119,7 +138,11 @@ def _ratio(data, label, *keys):
 
 
 def check(committed, fresh, *, tolerance=DEFAULT_TOLERANCE):
-    """Return True when every tracked ratio holds within ``tolerance``."""
+    """Return True when every tracked ratio holds.
+
+    A timed ratio holds within ``tolerance`` below its floor; a
+    deterministic ratio holds when it matches its committed value.
+    """
     ok = True
     skipped = 0
     tracked = (
@@ -155,6 +178,18 @@ def check(committed, fresh, *, tolerance=DEFAULT_TOLERANCE):
         if floor is None or value is None:
             ok = False
             continue
+        if name in DETERMINISTIC_RATIOS:
+            if math.isclose(value, floor, rel_tol=DETERMINISTIC_TOLERANCE):
+                print(f"ok: {name} = {value!r} (deterministic, committed {floor!r})")
+            else:
+                print(
+                    f"CHANGED: {name} = {value!r}, committed {floor!r}: a "
+                    f"deterministic ratio moved by more than a relative "
+                    f"{DETERMINISTIC_TOLERANCE:g} (a behaviour change; commit "
+                    f"the new value in the PR that explains it)"
+                )
+                ok = False
+            continue
         allowed = floor * (1.0 - tolerance)
         if value < allowed:
             print(
@@ -187,7 +222,10 @@ def main(argv=None):
     parser.add_argument("fresh", help="freshly measured snapshot to validate")
     parser.add_argument(
         "--tolerance", type=float, default=DEFAULT_TOLERANCE,
-        help="allowed fractional drop below the floor (default: 0.30)",
+        help=(
+            "allowed fractional drop of a timed ratio below its floor "
+            "(default: 0.30); deterministic ratios must match exactly"
+        ),
     )
     args = parser.parse_args(argv)
 

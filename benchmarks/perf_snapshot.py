@@ -139,8 +139,8 @@ REPLICATION_TRACKED_FAMILY = "version-stamp"
 #: Chaos benchmark shape: a small population, every key written up front,
 #: then faulty anti-entropy rounds until convergence.  Everything is
 #: seeded and counted (retry backoff is simulated), so the section is
-#: deterministic -- the tolerance of the regression check absorbs nothing
-#: and any drift is a real behaviour change.
+#: deterministic -- the regression check compares its ratio exactly, and
+#: any drift is a real behaviour change.
 CHAOS_LOSS_LEVELS = (0.0, 0.1, 0.3)
 CHAOS_REPLICAS = 5
 CHAOS_KEYS = 12
@@ -1310,9 +1310,10 @@ def main(argv=None):
             "contracts "
             "and durability ratios of a fresh "
             "snapshot against the committed BENCH_ops.json and fails CI "
-            "when one drops more than 30 percent below its floor (sections "
-            "absent from the committed snapshot are skipped, so a PR adding "
-            "a section can land)."
+            "when a timed one drops more than 30 percent below its floor or "
+            "a deterministic one (chaos, health, scale) moves at all "
+            "(sections absent from the committed snapshot are skipped, so a "
+            "PR adding a section can land)."
         ),
     )
     parser.add_argument(

@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from ..core.frontier import Frontier
-from ..sim.trace import OpKind, Operation, Trace
+from ..sim.trace import OpKind, Trace, apply_operation
 
 __all__ = ["render_trace", "trace_timeline"]
 
@@ -49,18 +49,10 @@ def _annotations(trace: Trace, annotate: str) -> Dict[str, str]:
     """Compute the per-element annotation text (stamps or nothing)."""
     if annotate == "none":
         return {}
-    reducing = annotate == "stamps"
-    frontier = Frontier.initial(trace.seed, reducing=reducing)
+    frontier = Frontier.initial(trace.seed, reducing=annotate == "stamps")
     annotations = {trace.seed: str(frontier.stamp_of(trace.seed))}
     for operation in trace.operations:
-        if operation.kind == OpKind.UPDATE:
-            frontier.update(operation.source, operation.results[0])
-        elif operation.kind == OpKind.FORK:
-            frontier.fork(operation.source, *operation.results)
-        elif operation.kind == OpKind.JOIN:
-            frontier.join(operation.source, operation.other, operation.results[0])
-        else:
-            frontier.sync(operation.source, operation.other, *operation.results)
+        apply_operation(frontier, operation)
         for label in operation.results:
             annotations[label] = str(frontier.stamp_of(label))
     return annotations

@@ -15,9 +15,11 @@ mechanism the repo reproduces:
 * :mod:`~repro.kernel.stream`   -- the batched envelope stream (one header
   + N length-prefixed frames, single shared epoch, lazy zero-copy decode
   with an interning table) that anti-entropy batches ride on;
-* :mod:`~repro.kernel.adapters` -- the lockstep mechanism adapters,
-  including the generic :class:`KernelClockAdapter` that drives any
-  registered family through the protocol alone.
+* :mod:`~repro.kernel.adapters` -- the lockstep mechanism adapters, each
+  replaying a trace through :func:`repro.sim.trace.apply_operation`; the
+  generic :class:`KernelClockAdapter` drives any registered family through
+  the protocol alone, and like every value-clock adapter it is a
+  :class:`ClockAdapter`.
 
 Quick start
 -----------
@@ -42,6 +44,7 @@ from ..core.errors import (
     UnknownClockFamily,
 )
 from .adapters import (
+    ClockAdapter,
     KernelClockAdapter,
     MechanismAdapter,
     default_adapters,
@@ -115,6 +118,7 @@ __all__ = [
     "stream_info",
     "IncrementalStreamDecoder",
     "MechanismAdapter",
+    "ClockAdapter",
     "KernelClockAdapter",
     "default_adapters",
     "kernel_adapters",

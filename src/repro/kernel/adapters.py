@@ -1,14 +1,25 @@
 """Mechanism adapters: one uniform driver interface over every clock family.
 
-Historically each causality mechanism needed a hand-written adapter wiring
-its private API (``Frontier``, ``DynamicVVSystem``, raw ``ITCStamp`` dicts,
-...) to the lockstep runner.  With the :mod:`repro.kernel` protocol in place
-a single generic :class:`KernelClockAdapter` drives *any* registered clock
-family through ``fork``/``event``/``join``/``compare`` alone -- pass a
-family name and every replication scenario, lockstep trace and size curve
-runs over it (that is the CLI's ``simulate --clock`` flag).
+Every adapter replays a trace through :func:`repro.sim.trace.apply_operation`:
+:meth:`MechanismAdapter.start` builds a replay target with the label-based
+``update``/``fork``/``join``/``sync`` of :class:`~repro.core.frontier.Frontier`,
+and ``apply``, ``labels`` and ``compare`` go through it.
 
-The specialised adapters are retained where they measure something the
+:class:`ClockAdapter` is its own target for immutable clock values, one per
+live label.  Its subclasses override only the clock vocabulary where theirs
+differs:
+
+* :class:`KernelClockAdapter` drives *any* registered clock family through
+  the kernel protocol alone -- pass a family name and every replication
+  scenario, lockstep trace and size curve runs over it (that is the CLI's
+  ``simulate --clock`` flag);
+* :class:`ITCAdapter` -- ITC sized by ``ITCStamp.size_in_bits()``'s
+  per-node model, the yardstick the other default adapters use
+  (``KernelClockAdapter("itc")`` reports encoded bits instead);
+* :class:`PlausibleAdapter` / :class:`LamportAdapter` -- the lossy
+  contrast baselines.
+
+The other adapters replay onto their own configurations, for what the
 protocol deliberately does not expose:
 
 * :class:`CausalAdapter` / :class:`RefCausalAdapter` -- the oracle, with its
@@ -18,17 +29,12 @@ protocol deliberately does not expose:
   Section 7 re-rooting GC and the I1-I3 invariant self-check;
 * :class:`DynamicVVAdapter` -- the identifier-*authority* baseline, whose
   forks can fail under partition (the kernel's ``vv-dynamic`` family
-  allocates identifiers locally and never fails);
-* :class:`ITCAdapter` -- ITC sized by ``ITCStamp.size_in_bits()``'s
-  per-node model, the yardstick the other default adapters use
-  (``KernelClockAdapter("itc")`` reports encoded bits instead);
-* :class:`PlausibleAdapter` / :class:`LamportAdapter` -- the lossy
-  contrast baselines.
+  allocates identifiers locally and never fails).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional
+from typing import Any, Callable, Dict, List, Mapping, Optional
 
 from ..causal.configuration import CausalConfiguration
 from ..causal.refhistory import RefCausalConfiguration
@@ -46,6 +52,7 @@ from .registry import make
 
 __all__ = [
     "MechanismAdapter",
+    "ClockAdapter",
     "CausalAdapter",
     "RefCausalAdapter",
     "StampAdapter",
@@ -61,26 +68,47 @@ __all__ = [
 
 
 class MechanismAdapter:
-    """Uniform driver interface: replay trace operations, answer comparisons."""
+    """Uniform driver interface: replay trace operations, answer comparisons.
+
+    :meth:`start` builds the replay target with :meth:`_initial`: an object
+    with the label-based ``update``/``fork``/``join``/``sync`` that
+    :func:`~repro.sim.trace.apply_operation` calls, plus ``labels`` and
+    ``compare``.  :meth:`apply`, :meth:`labels` and :meth:`compare` go
+    through it.
+    """
 
     #: Short name used in reports and benchmark tables.
     name = "mechanism"
 
+    _target: Any = None
+
+    def _initial(self, seed: str) -> Any:
+        """The replay target holding the single element ``seed``."""
+        raise NotImplementedError
+
+    @property
+    def _replay_target(self) -> Any:
+        if self._target is None:
+            raise SimulationError("adapter not started")
+        return self._target
+
     def start(self, seed: str) -> None:
         """Initialize with a single element labelled ``seed``."""
-        raise NotImplementedError
+        self._target = self._initial(seed)
 
     def apply(self, operation) -> None:
         """Apply one trace operation."""
-        raise NotImplementedError
+        from ..sim.trace import apply_operation
+
+        apply_operation(self._replay_target, operation)
 
     def labels(self) -> List[str]:
         """Labels of the currently coexisting elements."""
-        raise NotImplementedError
+        return self._replay_target.labels()
 
     def compare(self, first: str, second: str) -> Ordering:
         """Pairwise comparison of two live elements."""
-        raise NotImplementedError
+        return self._replay_target.compare(first, second)
 
     def comparison_table(self) -> Optional[Mapping[str, object]]:
         """Optional label -> comparable mapping for bulk comparisons.
@@ -101,7 +129,102 @@ class MechanismAdapter:
         return True
 
 
-class KernelClockAdapter(MechanismAdapter):
+class ClockAdapter(MechanismAdapter):
+    """Immutable clock values, one per live label, replayed by label.
+
+    The adapter is its own replay target: ``update``, ``fork`` and ``join``
+    replace the consumed labels' values with the clock vocabulary's
+    :meth:`_event`, :meth:`_fork` and :meth:`_join` of them, and a ``sync``
+    is a join then a fork.  The vocabulary defaults to the kernel
+    protocol's ``event``/``fork``/``join``/``compare`` methods on the value;
+    subclasses override only the hooks where their clock differs.
+
+    Parameters
+    ----------
+    name:
+        Report name.
+    seed:
+        Builds the seed element's clock on every :meth:`start`.
+    size:
+        Metadata size of one clock value, in bits.
+    """
+
+    def __init__(
+        self, name: str, seed: Callable[[], Any], size: Callable[[Any], int]
+    ) -> None:
+        self.name = name
+        self._seed = seed
+        self._size = size
+        self._clocks: Dict[str, Any] = {}
+        self._minted = 0
+
+    def _initial(self, seed: str) -> "ClockAdapter":
+        # Fresh ids restart with every replay: plausible clocks hash them
+        # into slots, so a reused adapter must replay a trace identically.
+        self._minted = 0
+        self._clocks = {seed: self._seed()}
+        return self
+
+    def _fresh_id(self, prefix: str) -> str:
+        """A replica id unique within this replay: ``prefix`` plus a counter."""
+        identifier = f"{prefix}{self._minted}"
+        self._minted += 1
+        return identifier
+
+    def clock_of(self, label: str) -> Any:
+        """The live clock registered under ``label``."""
+        try:
+            return self._clocks[label]
+        except KeyError:
+            raise SimulationError(
+                f"{self.name} adapter has no element {label!r}"
+            ) from None
+
+    def _take(self, label: str) -> Any:
+        clock = self.clock_of(label)
+        del self._clocks[label]
+        return clock
+
+    # -- the label-based replay target ------------------------------------
+
+    def update(self, source: str, result: str) -> None:
+        self._clocks[result] = self._event(self._take(source))
+
+    def fork(self, source: str, left: str, right: str) -> None:
+        self._clocks[left], self._clocks[right] = self._fork(self._take(source))
+
+    def join(self, first: str, second: str, result: str) -> None:
+        self._clocks[result] = self._join(self._take(first), self._take(second))
+
+    def sync(self, first: str, second: str, left: str, right: str) -> None:
+        self.join(first, second, left)
+        self.fork(left, left, right)
+
+    def labels(self) -> List[str]:
+        return list(self._clocks)
+
+    def compare(self, first: str, second: str) -> Ordering:
+        return self._compare(self.clock_of(first), self.clock_of(second))
+
+    def size_in_bits(self, label: str) -> int:
+        return self._size(self.clock_of(label))
+
+    # -- the clock vocabulary ---------------------------------------------
+
+    def _event(self, clock: Any) -> Any:
+        return clock.event()
+
+    def _fork(self, clock: Any) -> Any:
+        return clock.fork()
+
+    def _join(self, first: Any, second: Any) -> Any:
+        return first.join(second)
+
+    def _compare(self, first: Any, second: Any) -> Ordering:
+        return first.compare(second)
+
+
+class KernelClockAdapter(ClockAdapter):
     """Drive any registered clock family through the kernel protocol alone.
 
     The adapter holds one :class:`~repro.kernel.clocks.KernelClock` per live
@@ -127,61 +250,12 @@ class KernelClockAdapter(MechanismAdapter):
             # name, so the mechanism under test must not collide with the
             # oracle (whose name is "causal-history").
             name = family if family != "causal-history" else "causal-history-kernel"
-        self.name = name
-        self._make_kwargs = dict(make_kwargs)
-        self._clocks: Dict[str, KernelClock] = {}
-
-    def clock_of(self, label: str) -> KernelClock:
-        """The live clock registered under ``label``."""
-        try:
-            return self._clocks[label]
-        except KeyError:
-            raise SimulationError(
-                f"{self.name} adapter has no element {label!r}"
-            ) from None
-
-    def start(self, seed: str) -> None:
-        self._clocks = {seed: make(self.family, **self._make_kwargs)}
-
-    def _take(self, label: str) -> KernelClock:
-        try:
-            return self._clocks.pop(label)
-        except KeyError:
-            raise SimulationError(
-                f"{self.name} adapter has no element {label!r}"
-            ) from None
-
-    def apply(self, operation) -> None:
-        from ..sim.trace import OpKind
-
-        if operation.kind == OpKind.UPDATE:
-            self._clocks[operation.results[0]] = self._take(operation.source).event()
-        elif operation.kind == OpKind.FORK:
-            left, right = self._take(operation.source).fork()
-            self._clocks[operation.results[0]] = left
-            self._clocks[operation.results[1]] = right
-        elif operation.kind == OpKind.JOIN:
-            first = self._take(operation.source)
-            second = self._take(operation.other)
-            self._clocks[operation.results[0]] = first.join(second)
-        else:
-            first = self._take(operation.source)
-            second = self._take(operation.other)
-            left, right = first.join(second).fork()
-            self._clocks[operation.results[0]] = left
-            self._clocks[operation.results[1]] = right
-
-    def labels(self) -> List[str]:
-        return list(self._clocks)
-
-    def compare(self, first: str, second: str) -> Ordering:
-        return self.clock_of(first).compare(self.clock_of(second))
+        super().__init__(
+            name, lambda: make(family, **make_kwargs), KernelClock.encoded_size_bits
+        )
 
     def comparison_table(self) -> Mapping[str, KernelClock]:
         return self._clocks
-
-    def size_in_bits(self, label: str) -> int:
-        return self.clock_of(label).encoded_size_bits()
 
 
 class CausalAdapter(MechanismAdapter):
@@ -192,28 +266,12 @@ class CausalAdapter(MechanismAdapter):
     #: The configuration implementation this adapter drives.
     configuration_class = CausalConfiguration
 
-    def __init__(self) -> None:
-        self._configuration = None
-
     @property
     def configuration(self):
-        if self._configuration is None:
-            raise SimulationError("adapter not started")
-        return self._configuration
+        return self._replay_target
 
-    def start(self, seed: str) -> None:
-        self._configuration = self.configuration_class.initial(seed)
-
-    def apply(self, operation) -> None:
-        from ..sim.trace import apply_operation
-
-        apply_operation(self.configuration, operation)
-
-    def labels(self) -> List[str]:
-        return self.configuration.labels()
-
-    def compare(self, first: str, second: str) -> Ordering:
-        return self.configuration.compare(first, second)
+    def _initial(self, seed: str):
+        return self.configuration_class.initial(seed)
 
     def comparison_table(self) -> Mapping[str, object]:
         return self.configuration.histories_view()
@@ -243,27 +301,13 @@ class StampAdapter(MechanismAdapter):
     def __init__(self, *, reducing: bool = True) -> None:
         self._reducing = reducing
         self.name = "version-stamps" if reducing else "version-stamps-nonreducing"
-        self._frontier: Optional[Frontier] = None
 
     @property
     def frontier(self) -> Frontier:
-        if self._frontier is None:
-            raise SimulationError("adapter not started")
-        return self._frontier
+        return self._replay_target
 
-    def start(self, seed: str) -> None:
-        self._frontier = Frontier.initial(seed, reducing=self._reducing)
-
-    def apply(self, operation) -> None:
-        from ..sim.trace import apply_operation
-
-        apply_operation(self.frontier, operation)
-
-    def labels(self) -> List[str]:
-        return self.frontier.labels()
-
-    def compare(self, first: str, second: str) -> Ordering:
-        return self.frontier.compare(first, second)
+    def _initial(self, seed: str) -> Frontier:
+        return Frontier.initial(seed, reducing=self._reducing)
 
     def size_in_bits(self, label: str) -> int:
         return self.frontier.stamp_of(label).size_in_bits()
@@ -301,10 +345,20 @@ class RerootingStampAdapter(StampAdapter):
         """How many re-roots the replay has triggered so far."""
         return self.frontier.reroots_performed
 
-    def start(self, seed: str) -> None:
-        self._frontier = Frontier.initial(
-            seed, reducing=True, reroot_threshold=self._threshold
-        )
+    def _initial(self, seed: str) -> Frontier:
+        return Frontier.initial(seed, reducing=True, reroot_threshold=self._threshold)
+
+
+class _TraceSyncVVSystem(DynamicVVSystem):
+    """A :class:`DynamicVVSystem` whose ``sync`` replays a trace sync.
+
+    The system's own ``sync`` keeps both replica identities in place; a
+    trace sync produces two labels, so the baseline replays it as a join
+    (the second identity retires) then a fork (a fresh identifier).
+    """
+
+    def sync(self, first, second, left, right):  # type: ignore[override]
+        self.fork(self.join(first, second), left, right)
 
 
 class DynamicVVAdapter(MechanismAdapter):
@@ -320,148 +374,46 @@ class DynamicVVAdapter(MechanismAdapter):
 
     def __init__(self, id_source: Optional[IdSource] = None) -> None:
         self._id_source = id_source
-        self._system: Optional[DynamicVVSystem] = None
 
     @property
     def system(self) -> DynamicVVSystem:
-        if self._system is None:
-            raise SimulationError("adapter not started")
-        return self._system
+        return self._replay_target
 
-    def start(self, seed: str) -> None:
+    def _initial(self, seed: str) -> DynamicVVSystem:
         source = self._id_source if self._id_source is not None else CentralIdSource()
-        self._system = DynamicVVSystem.initial(seed, id_source=source)
-
-    def apply(self, operation) -> None:
-        from ..sim.trace import OpKind
-
-        system = self.system
-        if operation.kind == OpKind.UPDATE:
-            system.update(operation.source, operation.results[0])
-        elif operation.kind == OpKind.FORK:
-            system.fork(operation.source, *operation.results)
-        elif operation.kind == OpKind.JOIN:
-            system.join(operation.source, operation.other, operation.results[0])
-        else:
-            joined = system.join(operation.source, operation.other)
-            system.fork(joined, *operation.results)
-
-    def labels(self) -> List[str]:
-        return self.system.labels()
-
-    def compare(self, first: str, second: str) -> Ordering:
-        return self.system.compare(first, second)
+        return _TraceSyncVVSystem.initial(seed, id_source=source)
 
     def size_in_bits(self, label: str) -> int:
         return self.system.element(label).size_in_bits()
 
 
-class ITCAdapter(MechanismAdapter):
-    """Interval Tree Clocks (the extension mechanism)."""
+class ITCAdapter(ClockAdapter):
+    """Interval Tree Clocks, sized by ``ITCStamp.size_in_bits()``'s node model."""
 
     name = "interval-tree-clocks"
 
     def __init__(self) -> None:
-        self._stamps: Dict[str, ITCStamp] = {}
-
-    def start(self, seed: str) -> None:
-        self._stamps = {seed: ITCStamp.seed()}
-
-    def _take(self, label: str) -> ITCStamp:
-        try:
-            return self._stamps.pop(label)
-        except KeyError:
-            raise SimulationError(f"ITC adapter has no element {label!r}") from None
-
-    def apply(self, operation) -> None:
-        from ..sim.trace import OpKind
-
-        if operation.kind == OpKind.UPDATE:
-            stamp = self._take(operation.source)
-            self._stamps[operation.results[0]] = stamp.event()
-        elif operation.kind == OpKind.FORK:
-            stamp = self._take(operation.source)
-            left, right = stamp.fork()
-            self._stamps[operation.results[0]] = left
-            self._stamps[operation.results[1]] = right
-        elif operation.kind == OpKind.JOIN:
-            first = self._take(operation.source)
-            second = self._take(operation.other)
-            self._stamps[operation.results[0]] = first.join(second)
-        else:
-            first = self._take(operation.source)
-            second = self._take(operation.other)
-            left, right = first.join(second).fork()
-            self._stamps[operation.results[0]] = left
-            self._stamps[operation.results[1]] = right
-
-    def labels(self) -> List[str]:
-        return list(self._stamps)
-
-    def compare(self, first: str, second: str) -> Ordering:
-        return self._stamps[first].compare(self._stamps[second])
-
-    def size_in_bits(self, label: str) -> int:
-        return self._stamps[label].size_in_bits()
+        super().__init__(self.name, ITCStamp.seed, ITCStamp.size_in_bits)
 
 
-class PlausibleAdapter(MechanismAdapter):
+class PlausibleAdapter(ClockAdapter):
     """Plausible clocks: constant size, approximate ordering."""
 
     def __init__(self, entries: int = 4) -> None:
-        self.name = f"plausible-clocks-{entries}"
-        self._entries = entries
-        self._clocks: Dict[str, PlausibleClock] = {}
-        self._next_replica = 0
+        super().__init__(
+            f"plausible-clocks-{entries}",
+            lambda: PlausibleClock(entries, self._fresh_id("p")),
+            PlausibleClock.size_in_bits,
+        )
 
-    def _fresh_replica_id(self) -> str:
-        identifier = f"p{self._next_replica}"
-        self._next_replica += 1
-        return identifier
+    def _fork(self, clock: PlausibleClock):
+        return clock, clock.for_replica(self._fresh_id("p"))
 
-    def start(self, seed: str) -> None:
-        self._clocks = {seed: PlausibleClock(self._entries, self._fresh_replica_id())}
-
-    def _take(self, label: str) -> PlausibleClock:
-        try:
-            return self._clocks.pop(label)
-        except KeyError:
-            raise SimulationError(f"plausible adapter has no element {label!r}") from None
-
-    def apply(self, operation) -> None:
-        from ..sim.trace import OpKind
-
-        if operation.kind == OpKind.UPDATE:
-            clock = self._take(operation.source)
-            self._clocks[operation.results[0]] = clock.update()
-        elif operation.kind == OpKind.FORK:
-            clock = self._take(operation.source)
-            self._clocks[operation.results[0]] = clock
-            self._clocks[operation.results[1]] = clock.for_replica(self._fresh_replica_id())
-        elif operation.kind == OpKind.JOIN:
-            first = self._take(operation.source)
-            second = self._take(operation.other)
-            self._clocks[operation.results[0]] = first.merge(second)
-        else:
-            first = self._take(operation.source)
-            second = self._take(operation.other)
-            merged = first.merge(second)
-            self._clocks[operation.results[0]] = merged
-            self._clocks[operation.results[1]] = merged.for_replica(
-                self._fresh_replica_id()
-            )
-
-    def labels(self) -> List[str]:
-        return list(self._clocks)
-
-    def compare(self, first: str, second: str) -> Ordering:
-        return self._clocks[first].compare(self._clocks[second])
-
-    def size_in_bits(self, label: str) -> int:
-        return self._clocks[label].size_in_bits()
+    def _join(self, first: PlausibleClock, second: PlausibleClock) -> PlausibleClock:
+        return first.merge(second)
 
 
-class LamportAdapter(MechanismAdapter):
+class LamportAdapter(ClockAdapter):
     """Scalar Lamport clocks: causality-consistent but blind to concurrency.
 
     Included purely as a contrast baseline -- every pair the oracle reports
@@ -472,60 +424,28 @@ class LamportAdapter(MechanismAdapter):
     name = "lamport-clocks"
 
     def __init__(self) -> None:
-        self._clocks: Dict[str, LamportClock] = {}
-        self._next_process = 0
+        super().__init__(
+            self.name,
+            lambda: LamportClock(0, self._fresh_id("l")),
+            LamportClock.size_in_bits,
+        )
 
-    def _fresh_process(self) -> str:
-        identifier = f"l{self._next_process}"
-        self._next_process += 1
-        return identifier
+    def _event(self, clock: LamportClock) -> LamportClock:
+        return clock.tick()
 
-    def start(self, seed: str) -> None:
-        self._clocks = {seed: LamportClock(0, self._fresh_process())}
+    def _fork(self, clock: LamportClock):
+        return clock, LamportClock(clock.counter, self._fresh_id("l"))
 
-    def _take(self, label: str) -> LamportClock:
-        try:
-            return self._clocks.pop(label)
-        except KeyError:
-            raise SimulationError(f"lamport adapter has no element {label!r}") from None
+    def _join(self, first: LamportClock, second: LamportClock) -> LamportClock:
+        # A join merges knowledge, not a message receipt: the maximum
+        # counter, without the tick of LamportClock.merge.
+        return LamportClock(max(first.counter, second.counter), first.process)
 
-    def apply(self, operation) -> None:
-        from ..sim.trace import OpKind
-
-        if operation.kind == OpKind.UPDATE:
-            clock = self._take(operation.source)
-            self._clocks[operation.results[0]] = clock.tick()
-        elif operation.kind == OpKind.FORK:
-            clock = self._take(operation.source)
-            self._clocks[operation.results[0]] = clock
-            self._clocks[operation.results[1]] = LamportClock(
-                clock.counter, self._fresh_process()
-            )
-        elif operation.kind == OpKind.JOIN:
-            first = self._take(operation.source)
-            second = self._take(operation.other)
-            self._clocks[operation.results[0]] = LamportClock(
-                max(first.counter, second.counter), first.process
-            )
-        else:
-            first = self._take(operation.source)
-            second = self._take(operation.other)
-            merged = max(first.counter, second.counter)
-            self._clocks[operation.results[0]] = LamportClock(merged, first.process)
-            self._clocks[operation.results[1]] = LamportClock(merged, second.process)
-
-    def labels(self) -> List[str]:
-        return list(self._clocks)
-
-    def compare(self, first: str, second: str) -> Ordering:
-        mine = self._clocks[first]
-        theirs = self._clocks[second]
-        if mine.counter == theirs.counter:
+    def _compare(self, first: LamportClock, second: LamportClock) -> Ordering:
+        # Counters only; LamportClock.compare breaks ties by process id.
+        if first.counter == second.counter:
             return Ordering.EQUAL
-        return Ordering.BEFORE if mine.counter < theirs.counter else Ordering.AFTER
-
-    def size_in_bits(self, label: str) -> int:
-        return self._clocks[label].size_in_bits()
+        return Ordering.BEFORE if first.counter < second.counter else Ordering.AFTER
 
 
 def default_adapters(*, include_plausible: bool = False) -> List[MechanismAdapter]:

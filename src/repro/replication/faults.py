@@ -419,7 +419,3 @@ class FaultyTransport:
         ):
             self._rng.shuffle(deliveries)
         return deliveries
-
-    def transfer(self, source: str, destination: str, blob: bytes) -> List[bytes]:
-        """Single-message convenience form of :meth:`transfer_batch`."""
-        return [payload for _, payload in self.transfer_batch(source, destination, [blob])]

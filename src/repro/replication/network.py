@@ -88,7 +88,8 @@ class NetworkMeter:
     benchmarks and tests can compare framing strategies by their real
     traffic: a batched anti-entropy round sends one stream per peer pair
     and direction, a per-envelope round sends one message per stamp.
-    Per-pair totals are kept under ``(source, destination)`` keys.
+    The meter keeps run totals only, so its size does not grow with the
+    number of peer pairs a run touches.
 
     Under a fault-injecting transport (:mod:`repro.replication.faults`)
     the meter additionally tracks the fault economy of a run: how many
@@ -114,18 +115,14 @@ class NetworkMeter:
     retry_latency: float = 0.0
     #: Bytes of payloads the receiving engine accepted (first valid copy).
     bytes_delivered: int = 0
-    per_pair: Dict[Tuple[str, str], Tuple[int, int]] = field(default_factory=dict)
     #: Virtual seconds each transfer leg spent on the wire (service
     #: only; the synchronous engine moves bytes in zero simulated time).
     transfer_latencies: List[float] = field(default_factory=list)
 
-    def record(self, source: str, destination: str, nbytes: int, count: int = 1) -> None:
-        """Record ``count`` messages totalling ``nbytes`` from source to destination."""
+    def record(self, nbytes: int, count: int = 1) -> None:
+        """Record ``count`` messages totalling ``nbytes`` sent."""
         self.messages += count
         self.bytes_sent += nbytes
-        pair = (source, destination)
-        messages, total = self.per_pair.get(pair, (0, 0))
-        self.per_pair[pair] = (messages + count, total + nbytes)
 
     def record_drop(self, count: int = 1) -> None:
         """Record messages lost in flight."""
@@ -203,7 +200,6 @@ class NetworkMeter:
         self.corrupted = 0
         self.retry_latency = 0.0
         self.bytes_delivered = 0
-        self.per_pair.clear()
         self.transfer_latencies.clear()
 
 

@@ -226,8 +226,6 @@ class WireSyncEngine:
         The :class:`~repro.replication.network.NetworkMeter` recording
         messages, bytes and fault counters; a fresh one is created when
         omitted.
-    intern_entries:
-        Capacity of the batched mode's intern table.
     transport:
         Optional :class:`~repro.replication.faults.FaultyTransport`; when
         given, every transfer leg is delivered through its fault plan and
@@ -270,7 +268,6 @@ class WireSyncEngine:
         *,
         batched: bool = True,
         meter: Optional[NetworkMeter] = None,
-        intern_entries: int = 65536,
         transport: Optional[FaultyTransport] = None,
         retry: Optional[RetryPolicy] = None,
         verify_checksums: bool = True,
@@ -279,7 +276,7 @@ class WireSyncEngine:
     ) -> None:
         self.batched = batched
         self.meter = meter if meter is not None else NetworkMeter()
-        self.intern = InternTable(max_entries=intern_entries) if batched else None
+        self.intern = InternTable() if batched else None
         self.transport = transport
         self.retry = retry if retry is not None else RetryPolicy()
         self.verify_checksums = verify_checksums
@@ -392,7 +389,7 @@ class WireSyncEngine:
         if self.transport is None:
             total = 0
             for blob in blobs:
-                self.meter.record(source, destination, len(blob))
+                self.meter.record(len(blob))
                 total += len(blob)
             if blobs:
                 yield TransferEffect(source, destination, len(blobs), total)
@@ -414,7 +411,7 @@ class WireSyncEngine:
                 yield SleepEffect(latency)
             nbytes = 0
             for index in pending:
-                self.meter.record(source, destination, len(sealed[index]))
+                self.meter.record(len(sealed[index]))
                 nbytes += len(sealed[index])
             deliveries = self.transport.transfer_batch(
                 source, destination, [sealed[index] for index in pending]

@@ -7,13 +7,13 @@ histories and by version stamps *for the same system execution*.  The
 oracle and any set of mechanism adapters, and after every step compares each
 mechanism's pairwise ordering of the current frontier with the oracle's.
 
-The adapters themselves live in :mod:`repro.kernel.adapters`: the generic
+The adapters live in :mod:`repro.kernel.adapters`, and every one replays
+the trace through :func:`~repro.sim.trace.apply_operation`.  The generic
 :class:`~repro.kernel.adapters.KernelClockAdapter` drives any registered
-clock family through the :class:`~repro.kernel.protocol.CausalityClock`
-protocol alone, so one lockstep replay doubles as a cross-family comparison
-matrix; the specialised adapters (oracle, Frontier-backed stamps, the
-identifier-authority VV baseline, the lossy contrast clocks) are retained
-for what the protocol deliberately does not expose.
+clock family through the kernel protocol alone, so one lockstep replay
+doubles as a cross-family comparison matrix; it shares one
+:class:`~repro.kernel.adapters.ClockAdapter` replay with the ITC, plausible
+and Lamport adapters.
 
 The per-mechanism :class:`AgreementReport` records exact agreement counts
 plus the two interesting error kinds: *missed conflicts* (mechanism says

@@ -183,14 +183,13 @@ class TestWireAccounting:
         assert report.bytes_sent > 0
         assert (report.messages_sent, report.bytes_sent) <= engine.meter.snapshot()
 
-    def test_meter_is_shared_and_per_pair(self):
+    def test_meter_is_shared(self):
         meter = NetworkMeter()
         nodes = _population("version-stamp", 2)
         nodes[0].write("k", 1)
         engine = WireSyncEngine(meter=meter)
         engine.sync(nodes[0].store, nodes[1].store)
         assert meter.messages == engine.meter.messages
-        assert ("n0", "n1") in meter.per_pair
         meter.reset()
         assert meter.snapshot() == (0, 0)
 

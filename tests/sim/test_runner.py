@@ -5,11 +5,14 @@ import pytest
 import repro.kernel.adapters as kernel_adapters
 import repro.sim
 import repro.sim.runner as runner
+from repro.core.errors import ReproError
 from repro.core.order import Ordering
 from repro.kernel.adapters import (
     CausalAdapter,
     DynamicVVAdapter,
     ITCAdapter,
+    KernelClockAdapter,
+    LamportAdapter,
     PlausibleAdapter,
     RefCausalAdapter,
     StampAdapter,
@@ -17,7 +20,7 @@ from repro.kernel.adapters import (
 )
 from repro.sim.runner import AgreementReport, LockstepRunner, SizeSample
 from repro.sim.trace import Operation, Trace
-from repro.sim.workload import fixed_replica_trace, random_dynamic_trace
+from repro.sim.workload import churn_trace, fixed_replica_trace, random_dynamic_trace
 
 
 FIGURE2_TRACE = Trace(
@@ -41,6 +44,9 @@ ADAPTER_FACTORIES = [
     pytest.param(lambda: ITCAdapter(), id="itc"),
     pytest.param(lambda: CausalAdapter(), id="causal"),
     pytest.param(lambda: RefCausalAdapter(), id="causal-ref"),
+    pytest.param(lambda: PlausibleAdapter(), id="plausible"),
+    pytest.param(lambda: LamportAdapter(), id="lamport"),
+    pytest.param(lambda: KernelClockAdapter("itc"), id="kernel-itc"),
 ]
 
 
@@ -71,6 +77,14 @@ class TestAdapterContract:
         adapter.start("a")
         adapter.apply(Operation.fork("a", "b", "c"))
         assert adapter.check_invariants()
+
+    def test_unknown_label_is_a_typed_error(self, factory):
+        adapter = factory()
+        adapter.start("a")
+        with pytest.raises(ReproError):
+            adapter.compare("a", "ghost")
+        with pytest.raises(ReproError):
+            adapter.size_in_bits("ghost")
 
 
 class TestAgreementReport:
@@ -245,6 +259,54 @@ class TestLockstepRunner:
                 assert pair[0] < pair[1]  # canonical storage
                 assert pair in index[pair[0]]
                 assert pair in index[pair[1]]
+
+    def test_reused_runner_replays_identically(self):
+        # Plausible clocks hash their fresh replica ids into slots, so a
+        # reused adapter must restart its ids with every replay.
+        trace = churn_trace(60, seed=2)
+        runner = LockstepRunner(
+            default_adapters() + [PlausibleAdapter(), LamportAdapter()]
+        )
+        first = runner.run(trace)
+        assert runner.run(trace) == first
+        assert runner.run(trace) == first
+
+
+class TestLockstepYardsticks:
+    """Pin the numbers ``repro simulate`` prints, per mechanism yardstick."""
+
+    def test_churn_sizes_match_the_simulate_table(self):
+        # The trace `repro simulate --workload churn --operations 100` builds.
+        reports, sizes = LockstepRunner().run(
+            churn_trace(100, seed=0, target_frontier=8)
+        )
+        assert all(report.agreement_rate == 1.0 for report in reports.values())
+        measured = {
+            name: (sample.final_mean_bits, sample.peak_bits)
+            for name, sample in sizes.items()
+        }
+        assert measured == {
+            "dynamic-version-vectors": (844.0, 1120),
+            "interval-tree-clocks": (1170.5, 1204),
+            "version-stamps": (976.5, 2537),
+            "version-stamps-nonreducing": (1120.125, 2537),
+            "causal-history": (936.0, 1152),
+        }
+
+    def test_lossy_clock_agreement_counts(self):
+        trace = random_dynamic_trace(300, seed=5, max_frontier=12)
+        adapters = [PlausibleAdapter(entries=n) for n in (2, 4, 8)]
+        reports, _ = LockstepRunner(adapters + [LamportAdapter()]).run(trace)
+        counts = {
+            name: (report.agreements, report.comparisons)
+            for name, report in reports.items()
+        }
+        assert counts == {
+            "plausible-clocks-2": (7402, 14058),
+            "plausible-clocks-4": (9134, 14058),
+            "plausible-clocks-8": (10874, 14058),
+            "lamport-clocks": (2666, 14058),
+        }
 
 
 @pytest.mark.parametrize(
