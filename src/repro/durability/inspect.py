@@ -11,23 +11,26 @@ it: a torn journal tail or a snapshot failing its seal is *described* in
 the report instead of aborting the dump -- this is the tool one reaches
 for exactly when a store looks broken.
 
-Inspection is strictly read-only.  Unlike recovery, it does **not**
-truncate a damaged journal; it reads the raw bytes and reports where the
-valid prefix ends.
+Inspection is strictly read-only.  It walks the journal with the scans
+the backends' ``replay`` runs before it truncates --
+:func:`~repro.durability.log.scan_journal` over the file journal's bytes,
+:func:`~repro.durability.sqlite_log.scan_rows` over rows read through a
+read-only SQLite connection -- so it reports damage in recovery's words:
+the reason and offset recovery would cut at, without cutting.
 """
 
 from __future__ import annotations
 
 import os
-import struct
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 from ..core.errors import DurabilityError, LogCorrupt
 from ..kernel import envelope_info
 from ..kernel.stream import stream_info
-from .log import FileDurableLog
+from .log import FileDurableLog, TailDamage, scan_journal
 from .records import KIND_CLEAR, decode_record, decode_state_body, snapshot_streams
+from .sqlite_log import read_store, scan_rows
 from .store import SQLITE_FILENAME
 
 __all__ = [
@@ -39,7 +42,6 @@ __all__ = [
     "format_report",
 ]
 
-_LEN = struct.Struct(">I")
 _SQLITE_MAGIC = b"SQLite format 3\x00"
 
 
@@ -153,7 +155,7 @@ def _inspect_snapshot(blob: Optional[bytes]) -> SnapshotInfo:
     )
 
 
-def _scan_blobs(blobs, total_bytes, damage, damage_offset) -> JournalInfo:
+def _scan_blobs(blobs, total_bytes, damage: Optional[TailDamage]) -> JournalInfo:
     records = state = clears = 0
     first_seq = last_seq = 0
     families = {}
@@ -182,96 +184,36 @@ def _scan_blobs(blobs, total_bytes, damage, damage_offset) -> JournalInfo:
         last_seq=last_seq,
         families=tuple(sorted(families.items())),
         epochs=tuple(sorted(epochs)),
-        damage=damage,
-        damage_offset=damage_offset,
+        damage=damage.reason if damage else None,
+        damage_offset=damage.offset if damage else 0,
     )
 
 
-def _inspect_file(path: str) -> StoreInfo:
-    snapshot_path = os.path.join(path, FileDurableLog.SNAPSHOT)
-    journal_path = os.path.join(path, FileDurableLog.JOURNAL)
-    snapshot_blob = None
-    if os.path.exists(snapshot_path):
-        with open(snapshot_path, "rb") as handle:
-            snapshot_blob = handle.read()
-    data = b""
-    if os.path.exists(journal_path):
-        with open(journal_path, "rb") as handle:
-            data = handle.read()
-    blobs: List[bytes] = []
-    offset = 0
-    damage = None
-    while offset < len(data):
-        if offset + _LEN.size > len(data):
-            damage = "torn length prefix at end of journal"
-            break
-        (length,) = _LEN.unpack_from(data, offset)
-        start = offset + _LEN.size
-        if start + length > len(data):
-            damage = f"record declares {length} bytes past end of journal"
-            break
-        blob = data[start : start + length]
-        try:
-            decode_record(blob)
-        except LogCorrupt as exc:
-            damage = str(exc)
-            break
-        blobs.append(blob)
-        offset = start + length
-    journal = _scan_blobs(blobs, len(data), damage, offset if damage else 0)
-    return StoreInfo(
-        path=path,
-        backend="file",
-        snapshot=_inspect_snapshot(snapshot_blob),
-        journal=journal,
-    )
-
-
-def _inspect_sqlite(path: str) -> StoreInfo:
-    import sqlite3
-
-    connection = sqlite3.connect(f"file:{path}?mode=ro", uri=True)
+def _read(path: str) -> Optional[bytes]:
     try:
-        row = connection.execute(
-            "SELECT blob FROM snapshot WHERE id = 1"
-        ).fetchone()
-        snapshot_blob = bytes(row[0]) if row is not None else None
-        rows = connection.execute(
-            "SELECT blob FROM journal ORDER BY id"
-        ).fetchall()
-    except sqlite3.DatabaseError as exc:
-        raise DurabilityError(f"cannot read SQLite store {path!r}: {exc}") from exc
-    finally:
-        connection.close()
-    blobs = []
-    total = 0
-    damage = None
-    offset = 0
-    for (raw,) in rows:
-        blob = bytes(raw)
-        total += len(blob)
-        try:
-            decode_record(blob)
-        except LogCorrupt as exc:
-            damage = str(exc)
-            break
-        offset += len(blob)
-        blobs.append(blob)
-    journal = _scan_blobs(blobs, total, damage, offset if damage else 0)
-    return StoreInfo(
-        path=path,
-        backend="sqlite",
-        snapshot=_inspect_snapshot(snapshot_blob),
-        journal=journal,
-    )
+        with open(path, "rb") as handle:
+            return handle.read()
+    except FileNotFoundError:
+        return None
 
 
 def inspect_path(path) -> StoreInfo:
     """Inspect the durable store at ``path`` (directory or SQLite file)."""
     backend, concrete = _detect(os.fspath(path))
     if backend == "file":
-        return _inspect_file(concrete)
-    return _inspect_sqlite(concrete)
+        snapshot_blob = _read(os.path.join(concrete, FileDurableLog.SNAPSHOT))
+        data = _read(os.path.join(concrete, FileDurableLog.JOURNAL)) or b""
+        journal_bytes = len(data)
+        blobs, damage = scan_journal(data)
+    else:
+        snapshot_blob, rows, journal_bytes = read_store(concrete)
+        blobs, damage = scan_rows(rows)
+    return StoreInfo(
+        path=concrete,
+        backend=backend,
+        snapshot=_inspect_snapshot(snapshot_blob),
+        journal=_scan_blobs(blobs, journal_bytes, damage),
+    )
 
 
 def format_report(info: StoreInfo) -> str:

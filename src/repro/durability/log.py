@@ -19,7 +19,10 @@ installed atomically.  The contract every backend honours:
   finds damage: a torn tail is reported as a typed
   :class:`TailDamage`, never silently decoded and never fatal.  Damage
   that makes the artifact structurally unreadable (a snapshot failing its
-  seal) raises :class:`~repro.core.errors.LogCorrupt` instead.
+  seal) raises :class:`~repro.core.errors.LogCorrupt` instead.  Each
+  backend's replay is a read-only scan (:func:`scan_journal` here,
+  :func:`~repro.durability.sqlite_log.scan_rows` for SQLite) followed by
+  the truncation, and ``repro store inspect`` runs the same scan.
 * :meth:`DurableLog.install_snapshot` replaces the snapshot and truncates
   the journal as one logical step, ordered so that a crash at *any*
   intermediate point recovers: the new snapshot lands atomically
@@ -45,7 +48,7 @@ from typing import Callable, List, Optional, Tuple
 from ..core.errors import DurabilityError, LogCorrupt
 from .records import decode_record
 
-__all__ = ["TailDamage", "DurableLog", "FileDurableLog", "CRASH_POINTS"]
+__all__ = ["TailDamage", "DurableLog", "FileDurableLog", "CRASH_POINTS", "scan_journal"]
 
 _LEN = struct.Struct(">I")
 
@@ -70,6 +73,40 @@ class TailDamage:
     offset: int
     dropped_bytes: int
     reason: str
+
+
+def scan_journal(data: bytes) -> Tuple[List[bytes], Optional[TailDamage]]:
+    """Walk file-journal bytes: the seal-valid record blobs, then any damage.
+
+    Read-only -- :meth:`FileDurableLog.replay` truncates at the returned
+    :attr:`TailDamage.offset`, and ``repro store inspect`` reports it.
+    """
+    blobs: List[bytes] = []
+    offset = 0
+    reason: Optional[str] = None
+    while offset < len(data):
+        if offset + _LEN.size > len(data):
+            reason = "torn length prefix at end of journal"
+            break
+        (length,) = _LEN.unpack_from(data, offset)
+        start = offset + _LEN.size
+        if start + length > len(data):
+            reason = (
+                f"record declares {length} bytes but only "
+                f"{len(data) - start} remain (torn tail)"
+            )
+            break
+        blob = data[start : start + length]
+        try:
+            decode_record(blob)
+        except LogCorrupt as exc:
+            reason = str(exc)
+            break
+        blobs.append(blob)
+        offset = start + length
+    if reason is None:
+        return blobs, None
+    return blobs, TailDamage(offset, len(data) - offset, reason)
 
 
 class DurableLog:
@@ -222,42 +259,7 @@ class FileDurableLog(DurableLog):
     def replay(self) -> Tuple[List[bytes], Optional[TailDamage]]:
         self._journal.flush()
         with open(self._journal_path, "rb") as handle:
-            data = handle.read()
-        blobs: List[bytes] = []
-        offset = 0
-        damage: Optional[TailDamage] = None
-        while offset < len(data):
-            if offset + _LEN.size > len(data):
-                damage = TailDamage(
-                    offset=offset,
-                    dropped_bytes=len(data) - offset,
-                    reason="torn length prefix at end of journal",
-                )
-                break
-            (length,) = _LEN.unpack_from(data, offset)
-            start = offset + _LEN.size
-            if start + length > len(data):
-                damage = TailDamage(
-                    offset=offset,
-                    dropped_bytes=len(data) - offset,
-                    reason=(
-                        f"record declares {length} bytes but only "
-                        f"{len(data) - start} remain (torn tail)"
-                    ),
-                )
-                break
-            blob = data[start : start + length]
-            try:
-                decode_record(blob)
-            except LogCorrupt as exc:
-                damage = TailDamage(
-                    offset=offset,
-                    dropped_bytes=len(data) - offset,
-                    reason=str(exc),
-                )
-                break
-            blobs.append(blob)
-            offset = start + length
+            blobs, damage = scan_journal(handle.read())
         if damage is not None:
             self._truncate_to(damage.offset)
         return blobs, damage

@@ -50,6 +50,10 @@ whose frame *i* belongs to key *i* of the group's key table::
                stream length u32 | "CS" stream |
     CRC32 over everything before it
 
+A key table is an entry count u32 followed by one entry per key, laid out
+as a key-state body's key, flags and values fields; the tracker is the
+key's frame in the group stream, and no entry may be absent.
+
 Because the stream header names family, epoch and frame count on its
 own, an inspection tool can classify a snapshot -- families, epochs,
 record counts -- via :func:`~repro.kernel.stream.stream_info` without
@@ -241,6 +245,35 @@ def encode_state_body(record: KeyRecord) -> bytes:
     return b"".join(parts)
 
 
+def _write_key_entry(
+    parts: List[bytes],
+    key: str,
+    present: bool,
+    independent: bool,
+    values: Tuple[bytes, ...],
+) -> None:
+    """Append one key entry -- key, flags and, when present, values.
+
+    The layout both the journal's key-state body (which adds the tracker
+    envelope after it) and the snapshot key table use.
+    """
+    key_bytes = key.encode("utf-8")
+    _check_len(f"key {key!r}", len(key_bytes), _MAX_U16)
+    flags = _FLAG_INDEPENDENT if independent else 0
+    parts.append(len(key_bytes).to_bytes(2, "big"))
+    parts.append(key_bytes)
+    if not present:
+        parts.append(bytes((flags | _FLAG_ABSENT,)))
+        return
+    parts.append(bytes((flags,)))
+    _check_len("value count", len(values), _MAX_U16)
+    parts.append(len(values).to_bytes(2, "big"))
+    for value in values:
+        _check_len("value", len(value), _MAX_U32)
+        parts.append(len(value).to_bytes(4, "big"))
+        parts.append(value)
+
+
 _KIND_STATE_BYTE = bytes((KIND_STATE,))
 
 
@@ -263,25 +296,9 @@ def encode_key_state_record(
     """
     if not 0 <= seq <= _MAX_SEQ:
         raise DurabilityError(f"sequence number {seq} exceeds the 64-bit field")
-    key_bytes = key.encode("utf-8")
-    _check_len(f"key {key!r}", len(key_bytes), _MAX_U16)
-    flags = _FLAG_INDEPENDENT if independent else 0
-    parts = [
-        _KIND_STATE_BYTE,
-        seq.to_bytes(8, "big"),
-        len(key_bytes).to_bytes(2, "big"),
-        key_bytes,
-    ]
-    if not present:
-        parts.append(bytes((flags | _FLAG_ABSENT,)))
-    else:
-        parts.append(bytes((flags,)))
-        _check_len("value count", len(values), _MAX_U16)
-        parts.append(len(values).to_bytes(2, "big"))
-        for value in values:
-            _check_len("value", len(value), _MAX_U32)
-            parts.append(len(value).to_bytes(4, "big"))
-            parts.append(value)
+    parts = [_KIND_STATE_BYTE, seq.to_bytes(8, "big")]
+    _write_key_entry(parts, key, present, independent, values)
+    if present:
         _check_len("tracker envelope", len(tracker), _MAX_U32)
         parts.append(len(tracker).to_bytes(4, "big"))
         parts.append(tracker)
@@ -361,41 +378,21 @@ def decode_state_body(body: bytes) -> KeyRecord:
 def _encode_key_table(records: Tuple[KeyRecord, ...]) -> bytes:
     parts = [len(records).to_bytes(4, "big")]
     for record in records:
-        key_bytes = record.key.encode("utf-8")
-        _check_len(f"key {record.key!r}", len(key_bytes), _MAX_U16)
-        flags = _FLAG_INDEPENDENT if record.independently_created else 0
-        parts.append(len(key_bytes).to_bytes(2, "big"))
-        parts.append(key_bytes)
-        parts.append(bytes((flags,)))
-        _check_len("value count", len(record.values), _MAX_U16)
-        parts.append(len(record.values).to_bytes(2, "big"))
-        for value in record.values:
-            _check_len("value", len(value), _MAX_U32)
-            parts.append(len(value).to_bytes(4, "big"))
-            parts.append(value)
+        # The table holds live keys only: every entry is written present.
+        _write_key_entry(
+            parts, record.key, True, record.independently_created, record.values
+        )
     return b"".join(parts)
 
 
 def _decode_key_table(blob: bytes) -> Tuple[KeyRecord, ...]:
     reader = _Reader(blob, "snapshot key table")
-    count = reader.uint(4)
     records = []
-    for _ in range(count):
-        key_len = reader.uint(2)
-        try:
-            key = reader.take(key_len).decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise LogCorrupt(f"snapshot key is not valid utf-8: {exc}") from exc
-        flags = reader.uint(1)
-        if flags & ~_FLAG_INDEPENDENT:
-            raise LogCorrupt(f"snapshot flags {flags:#x} set unknown bits")
-        value_count = reader.uint(2)
-        values = []
-        for _ in range(value_count):
-            values.append(bytes(reader.take(reader.uint(4))))
-        records.append(
-            KeyRecord(key, True, bool(flags & _FLAG_INDEPENDENT), tuple(values), b"")
-        )
+    for _ in range(reader.uint(4)):
+        record = _read_key_entry(reader, with_tracker=False)
+        if not record.present:
+            raise LogCorrupt(f"snapshot key table marks key {record.key!r} absent")
+        records.append(record)
     if not reader.done():
         raise LogCorrupt(
             f"{reader.remaining()} trailing bytes after the snapshot key table"

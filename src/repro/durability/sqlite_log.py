@@ -14,7 +14,9 @@ hostile edit) condemns that record and everything after it exactly like
 a torn file tail -- the valid prefix is kept, the rest is deleted and
 reported as :class:`~repro.durability.log.TailDamage`, never silently
 decoded.  Belt and braces: the log's integrity story never depends on
-the container.
+the container.  The walk is :func:`scan_rows`, which only reads; replay
+deletes after it, and ``repro store inspect`` runs it over the rows
+:func:`read_store` reads through a read-only connection.
 
 ``fsync_every`` maps onto ``PRAGMA synchronous``: ``None`` runs at
 ``OFF`` (commits reach the OS cache -- the process-crash model, same as
@@ -27,12 +29,13 @@ from __future__ import annotations
 import os
 import sqlite3
 from typing import List, Optional, Tuple
+from urllib.parse import quote
 
-from ..core.errors import LogCorrupt
+from ..core.errors import DurabilityError, LogCorrupt
 from .log import DurableLog, TailDamage
 from .records import decode_record
 
-__all__ = ["SQLiteDurableLog"]
+__all__ = ["SQLiteDurableLog", "read_store", "scan_rows"]
 
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS journal (
@@ -44,6 +47,68 @@ CREATE TABLE IF NOT EXISTS snapshot (
     blob BLOB NOT NULL
 );
 """
+
+
+def _snapshot(connection: sqlite3.Connection) -> Optional[bytes]:
+    row = connection.execute("SELECT blob FROM snapshot WHERE id = 1").fetchone()
+    return bytes(row[0]) if row is not None else None
+
+
+def _journal_rows(connection: sqlite3.Connection) -> List[Tuple[int, bytes]]:
+    return connection.execute("SELECT id, blob FROM journal ORDER BY id").fetchall()
+
+
+def _journal_bytes(connection: sqlite3.Connection) -> int:
+    # Each row counts its u32 length prefix too, as in the file journal.
+    row = connection.execute(
+        "SELECT COALESCE(SUM(LENGTH(blob) + 4), 0) FROM journal"
+    ).fetchone()
+    return int(row[0])
+
+
+def read_store(path: str) -> Tuple[Optional[bytes], List[Tuple[int, bytes]], int]:
+    """The snapshot blob, journal rows and journal bytes of the store at ``path``.
+
+    Opens the database read-only (``mode=ro``): nothing is created,
+    truncated or deleted, so a damaged store stays as it was found.  The
+    path is percent-quoted into the URI: a raw ``#`` or ``?`` would end
+    the path there and drop ``mode=ro``.
+    """
+    try:
+        connection = sqlite3.connect(f"file:{quote(path)}?mode=ro", uri=True)
+        try:
+            return (
+                _snapshot(connection),
+                _journal_rows(connection),
+                _journal_bytes(connection),
+            )
+        finally:
+            connection.close()
+    except sqlite3.DatabaseError as exc:
+        raise DurabilityError(f"cannot read SQLite store {path!r}: {exc}") from exc
+
+
+def scan_rows(
+    rows: List[Tuple[int, bytes]],
+) -> Tuple[List[bytes], Optional[TailDamage]]:
+    """Walk journal rows ``(id, blob)``: the seal-valid blobs, then any damage.
+
+    Read-only -- :meth:`SQLiteDurableLog.replay` deletes the damaged row
+    and every row after it.  Offsets and dropped bytes count blob bytes
+    only, without the length prefix :meth:`~SQLiteDurableLog.journal_bytes`
+    adds per row.
+    """
+    blobs: List[bytes] = []
+    offset = 0
+    for position, (_, blob) in enumerate(rows):
+        try:
+            decode_record(blob)
+        except LogCorrupt as exc:
+            dropped = sum(len(rest) for _, rest in rows[position:])
+            return blobs, TailDamage(offset, dropped, str(exc))
+        blobs.append(blob)
+        offset += len(blob)
+    return blobs, None
 
 
 class SQLiteDurableLog(DurableLog):
@@ -80,45 +145,25 @@ class SQLiteDurableLog(DurableLog):
         pass
 
     def journal_bytes(self) -> int:
-        row = self._connection.execute(
-            "SELECT COALESCE(SUM(LENGTH(blob) + 4), 0) FROM journal"
-        ).fetchone()
-        return int(row[0])
+        return _journal_bytes(self._connection)
 
     # -- replay ------------------------------------------------------------
 
     def replay(self) -> Tuple[List[bytes], Optional[TailDamage]]:
-        rows = self._connection.execute(
-            "SELECT id, blob FROM journal ORDER BY id"
-        ).fetchall()
-        blobs: List[bytes] = []
-        damage: Optional[TailDamage] = None
-        offset = 0
-        for position, (row_id, blob) in enumerate(rows):
-            blob = bytes(blob)
-            try:
-                decode_record(blob)
-            except LogCorrupt as exc:
-                dropped = sum(len(bytes(b)) for _, b in rows[position:])
-                damage = TailDamage(
-                    offset=offset, dropped_bytes=dropped, reason=str(exc)
-                )
-                self._connection.execute(
-                    "DELETE FROM journal WHERE id >= ?", (row_id,)
-                )
-                self._connection.commit()
-                break
-            blobs.append(blob)
-            offset += len(blob)
+        rows = _journal_rows(self._connection)
+        blobs, damage = scan_rows(rows)
+        if damage is not None:
+            # The scan stopped at row len(blobs): it and all later rows go.
+            self._connection.execute(
+                "DELETE FROM journal WHERE id >= ?", (rows[len(blobs)][0],)
+            )
+            self._connection.commit()
         return blobs, damage
 
     # -- snapshots ---------------------------------------------------------
 
     def read_snapshot(self) -> Optional[bytes]:
-        row = self._connection.execute(
-            "SELECT blob FROM snapshot WHERE id = 1"
-        ).fetchone()
-        return bytes(row[0]) if row is not None else None
+        return _snapshot(self._connection)
 
     def install_snapshot(self, blob: bytes) -> None:
         # One transaction installs the snapshot and truncates the journal

@@ -32,7 +32,6 @@ import os
 from typing import List, Optional, Tuple
 
 from ..core.errors import DurabilityError
-from ..kernel.clocks import KernelClock
 from ..kernel.stream import encode_stream
 from .log import DurableLog, FileDurableLog
 from .records import (
@@ -81,40 +80,9 @@ def open_log(
     )
 
 
-#: Envelope header prefixes (magic | version | family tag | epoch u32) by
-#: ``(family, epoch)``.  The first 8 bytes of every envelope in one epoch
-#: are identical, and journaling mostly sees *fresh* clocks (each merge
-#: forks new objects) whose payload cache is warm but whose envelope was
-#: never built -- so the hot path assembles the frame from the cached
-#: prefix instead of re-running the registry lookup and field validation
-#: ``encode_envelope`` performs.  A prefix is only cached after the full
-#: validated path ran once for that ``(family, epoch)``, so anything a
-#: fresh epoch could get wrong is still caught.
-_ENVELOPE_PREFIXES = {}
-
-
 def _tracker_bytes(key: str, tracker) -> bytes:
-    clock = getattr(tracker, "clock", None)
-    if isinstance(clock, KernelClock):
-        wire = clock._wire
-        if wire is not None:
-            return wire
-        prefix = _ENVELOPE_PREFIXES.get((clock.family, clock.epoch))
-        if prefix is not None:
-            payload = clock.payload_bytes()
-            return prefix + len(payload).to_bytes(4, "big") + payload
-        wire = clock.to_bytes()
-        _ENVELOPE_PREFIXES[(clock.family, clock.epoch)] = wire[:8]
-        return wire
-    to_bytes = getattr(tracker, "to_bytes", None)
-    if to_bytes is None:
-        raise DurabilityError(
-            f"key {key!r} is tracked by {type(tracker).__name__}, which has "
-            f"no canonical byte form; durable stores need kernel trackers "
-            f"(KernelTracker.factory(<family>))"
-        )
     try:
-        return to_bytes()
+        return tracker.to_bytes()
     except DurabilityError as exc:
         raise DurabilityError(f"cannot journal key {key!r}: {exc}") from exc
 

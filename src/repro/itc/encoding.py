@@ -30,30 +30,26 @@ the property the decode interns and the stream
 corrupted-but-parseable payload to "typed rejection" rather than silently
 admitted damage.
 
-Fast path
+Byte form
 ---------
-The byte form (:func:`itc_to_bytes` / :func:`itc_from_bytes`) never builds
-a Python list of 0/1 ints: encoding accumulates the bit stream in a single
+:func:`itc_to_bytes` accumulates the bit stream in a single
 arbitrary-precision integer (a gamma code is one shift-and-or, since its
 leading zeros are implied by the coded value's width) that one bulk
-``int.to_bytes`` converts, and decoding runs the grammar directly over the
-integer produced by one bulk ``int.from_bytes``, reading each structure
-bit with a local shift-and-mask and each gamma payload with a single
-masked extraction.  The list-based functions are retained as the readable
-reference implementation, pinned to the fast path by differential tests.
+``int.to_bytes`` converts.  :func:`itc_from_bytes` renders the payload
+once as a string of ``"0"``/``"1"`` characters and runs the grammar over
+it, finding each gamma code's leading one with ``str.find`` and parsing
+its payload with a single ``int(..., 2)``.
 """
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import Tuple
 
 from ..core.errors import EncodingError, EnvelopeTruncatedError
 from .event_tree import EventTree
 from .id_tree import IdTree
 
 __all__ = [
-    "stamp_components_to_bits",
-    "stamp_components_from_bits",
     "stamp_components_to_packed",
     "itc_to_bytes",
     "itc_from_bytes",
@@ -61,121 +57,11 @@ __all__ = [
 ]
 
 
-def _gamma_bits(value: int, out: List[int]) -> None:
-    """Elias gamma code of ``value + 1`` (handles the frequent zero)."""
-    shifted = value + 1
-    width = shifted.bit_length()
-    out.extend([0] * (width - 1))
-    for shift in range(width - 1, -1, -1):
-        out.append((shifted >> shift) & 1)
-
-
-def _id_bits(tree: IdTree, out: List[int]) -> None:
-    if isinstance(tree, tuple):
-        out.append(1)
-        _id_bits(tree[0], out)
-        _id_bits(tree[1], out)
-    else:
-        out.append(0)
-        out.append(1 if tree else 0)
-
-
-def _event_bits(tree: EventTree, out: List[int]) -> None:
-    if isinstance(tree, tuple):
-        out.append(1)
-        _gamma_bits(tree[0], out)
-        _event_bits(tree[1], out)
-        _event_bits(tree[2], out)
-    else:
-        out.append(0)
-        _gamma_bits(tree, out)
-
-
 #: Deepest tree nesting the decoder will follow.  Honest ITC trees are
 #: shallow (depth tracks the number of live interval splits); a crafted
 #: all-ones payload would otherwise recurse until the interpreter dies with
 #: a raw RecursionError instead of a typed rejection.
 _MAX_TREE_DEPTH = 512
-
-
-class _BitReader:
-    __slots__ = ("_bits", "_pos")
-
-    def __init__(self, bits: List[int]) -> None:
-        self._bits = bits
-        self._pos = 0
-
-    def read(self) -> int:
-        if self._pos >= len(self._bits):
-            raise EnvelopeTruncatedError("truncated ITC bit stream")
-        bit = self._bits[self._pos]
-        self._pos += 1
-        return bit
-
-    def remaining(self) -> int:
-        return len(self._bits) - self._pos
-
-
-def _read_gamma(reader: _BitReader) -> int:
-    zeros = 0
-    while reader.read() == 0:
-        zeros += 1
-        if zeros > 128:
-            raise EncodingError("ITC counter gamma code wider than 128 bits")
-    value = 1
-    for _ in range(zeros):
-        value = (value << 1) | reader.read()
-    return value - 1
-
-
-def _read_id(reader: _BitReader, depth: int = 0) -> IdTree:
-    if depth > _MAX_TREE_DEPTH:
-        raise EncodingError(f"ITC id tree deeper than {_MAX_TREE_DEPTH}")
-    if reader.read():
-        left = _read_id(reader, depth + 1)
-        right = _read_id(reader, depth + 1)
-        if type(left) is int and left == right:
-            raise EncodingError(
-                "non-canonical ITC id tree: "
-                f"({left}, {right}) must be collapsed to {left}"
-            )
-        return (left, right)
-    return reader.read()
-
-
-def _read_event(reader: _BitReader, depth: int = 0) -> EventTree:
-    if depth > _MAX_TREE_DEPTH:
-        raise EncodingError(f"ITC event tree deeper than {_MAX_TREE_DEPTH}")
-    if reader.read():
-        base = _read_gamma(reader)
-        left = _read_event(reader, depth + 1)
-        right = _read_event(reader, depth + 1)
-        left_leaf = type(left) is int
-        if left_leaf and left == right:
-            raise EncodingError(
-                "non-canonical ITC event tree: equal leaf children must be "
-                "merged into their parent"
-            )
-        lmin = left if left_leaf else left[0]
-        rmin = right if type(right) is int else right[0]
-        if lmin and rmin:
-            raise EncodingError(
-                "non-canonical ITC event tree: the children's shared "
-                "minimum must be sunk into the base"
-            )
-        return (base, left, right)
-    return _read_gamma(reader)
-
-
-def stamp_components_to_bits(identity: IdTree, events: EventTree) -> List[int]:
-    """Encode an (identity, events) pair as one self-delimiting bit list."""
-    bits: List[int] = []
-    _id_bits(identity, bits)
-    _event_bits(events, bits)
-    return bits
-
-
-# -- packed fast path ---------------------------------------------------------
 
 
 def _gamma_packed(counter: int, value: int, count: int) -> Tuple[int, int]:
@@ -310,18 +196,6 @@ def _read_event_str(bits: str, pos: int, depth: int):
             )
         return (base, left, right), pos
     return _read_gamma_str(bits, pos + 1)
-
-
-def stamp_components_from_bits(bits: List[int]) -> Tuple[IdTree, EventTree]:
-    """Decode :func:`stamp_components_to_bits` output; rejects trailing bits."""
-    reader = _BitReader(bits)
-    identity = _read_id(reader)
-    events = _read_event(reader)
-    if reader.remaining():
-        raise EncodingError(
-            f"{reader.remaining()} trailing bits after decoding an ITC stamp"
-        )
-    return identity, events
 
 
 # Bound lazily on first use: importing :mod:`repro.kernel.wire` at module

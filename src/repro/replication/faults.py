@@ -9,7 +9,7 @@ perfect transport:
 
 * :class:`FaultPlan` -- a declarative, seeded description of the fault
   matrix (loss rate, scheduled outage windows, duplication, reordering,
-  single/multi-bit corruption, latency per delivery);
+  single/multi-bit corruption);
 * :class:`FaultyTransport` -- wraps any
   :class:`~repro.replication.network.SimulatedNetwork` and delivers sync
   payloads through the plan; it also tracks crashed replicas, so a
@@ -89,10 +89,6 @@ class FaultPlan:
     corrupt_bits:
         How many bit flips one corruption event applies (1 = the classic
         single-bit error; >1 exercises multi-bit damage).
-    latency:
-        Simulated in-flight latency added per delivered message,
-        accounted by the engine as retry-free transfer time (seconds of
-        simulated time per message).
     outages:
         Scheduled total-loss windows: ``(start, end)`` pairs in transfer
         counts -- while ``start <= transfers_so_far < end`` every message
@@ -125,7 +121,6 @@ class FaultPlan:
     corrupt: float = 0.0
     corrupt_bits: int = 1
     max_duplicates: int = 1
-    latency: float = 0.0
     outages: Tuple[Tuple[int, int], ...] = ()
     degradation: Optional[DegradationPlan] = None
     crash_restart: str = "rejoin-empty"
@@ -146,8 +141,6 @@ class FaultPlan:
             raise FaultInjectionError(
                 f"max_duplicates must be at least 1, got {self.max_duplicates}"
             )
-        if self.latency < 0:
-            raise FaultInjectionError(f"latency must be >= 0, got {self.latency}")
         for window in self.outages:
             if len(window) != 2 or window[0] < 0 or window[1] <= window[0]:
                 raise FaultInjectionError(
@@ -175,7 +168,6 @@ class FaultPlan:
         cls,
         *,
         loss: float = 0.1,
-        seed_everything: bool = True,
         crash_restart: str = "rejoin-empty",
     ) -> "FaultPlan":
         """A kitchen-sink plan used by the chaos soaks."""
@@ -185,7 +177,7 @@ class FaultPlan:
             reorder=0.25,
             corrupt=0.03,
             corrupt_bits=1,
-            max_duplicates=2 if seed_everything else 1,
+            max_duplicates=2,
             crash_restart=crash_restart,
         )
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+import zlib
 
 import pytest
 
@@ -153,6 +154,33 @@ class TestSnapshotCodec:
     def test_bad_magic_is_typed(self):
         with pytest.raises(LogCorrupt):
             decode_snapshot(b"XX" + small_snapshot()[2:])
+
+    def test_key_table_rejects_an_absent_key_even_when_resealed(self):
+        """A sealed, well-formed table entry written the way the journal
+        writes a removed key (absent flag, no values) is still corrupt."""
+
+        def with_table(blob, table):
+            # header 15 bytes | table length u32 | table | stream part | seal
+            old_length = int.from_bytes(blob[15:19], "big")
+            body = b"".join(
+                (
+                    blob[:15],
+                    len(table).to_bytes(4, "big"),
+                    table,
+                    blob[19 + old_length : -4],
+                )
+            )
+            return body + zlib.crc32(body).to_bytes(4, "big")
+
+        blob = small_snapshot()
+        table = blob[19 : 19 + int.from_bytes(blob[15:19], "big")]
+        assert with_table(blob, table) == blob
+        # entry count u32 | key length u16 | "a" | flags u8 | value fields
+        flags_at = 4 + 2 + len("a")
+        assert table[flags_at] == 0x01  # independently created
+        absent = table[:flags_at] + bytes((0x01 | 0x02,))
+        with pytest.raises(LogCorrupt):
+            decode_snapshot(with_table(blob, absent))
 
 
 # ---------------------------------------------------------------------------
