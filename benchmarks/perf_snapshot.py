@@ -49,10 +49,13 @@ Measures three things:
   (:class:`repro.replication.synchronizer.WireSyncEngine`) over a
   fully-connected population, for every clock family at several replica
   counts -- gossip rounds/sec and stamps/sec, batched streams vs the
-  per-envelope baseline, plus per-round message/byte counts.  The tracked
-  ratio is ``batched_vs_per_envelope``: the version-stamp batched/
-  per-envelope rounds-per-second ratio at 32 replicas (both arms
-  in-process).
+  per-envelope baseline, plus per-round message/byte counts.  In the
+  converged steady state every key's digests match, so a session is its
+  one digest message and ships no stamps in either framing.  The tracked
+  values are that state's counts for version stamps at 32 replicas --
+  ``stamps_per_round`` (0) and ``batched_messages_per_round`` (32, one
+  digest leg per session) -- compared exactly; the rates and
+  ``batched_vs_per_envelope`` are printed, not gated.
 
 * a **contracts** benchmark (``contracts``): the causal ordering
   contract layer (:mod:`repro.contracts`) evaluated in its passing
@@ -601,10 +604,10 @@ def measure_replication(replica_counts, *, repeats, min_time):
     Both arms run the identical merge logic over the identical population
     shape; they differ only in wire framing (one stream per peer pair and
     direction vs one envelope per stamp) and decode strategy (lazy,
-    interned frames vs individual envelope decodes).  The tracked floor is
-    the version-stamp batched/per-envelope rounds-per-second ratio at
-    ``REPLICATION_TRACKED_REPLICAS`` replicas; both arms share the
-    process, so the ratio transfers across runner hardware.
+    interned frames vs individual envelope decodes).  The tracked values
+    are the version-stamp steady state's stamps and batched messages per
+    round at ``REPLICATION_TRACKED_REPLICAS`` replicas: seeded counts, so
+    they are exact on any hardware.
     """
     section = {
         "replica_counts": list(replica_counts),
@@ -646,6 +649,8 @@ def measure_replication(replica_counts, *, repeats, min_time):
     section["batched_vs_per_envelope"] = tracked[
         "speedup_batched_vs_per_envelope"
     ]
+    section["stamps_per_round"] = tracked["stamps_per_round"]
+    section["batched_messages_per_round"] = tracked["batched_messages_per_round"]
     return section
 
 
@@ -1284,8 +1289,9 @@ def main(argv=None):
             "the envelope-vs-JSON roundtrip ratio tracked), and replication "
             "(steady-state anti-entropy rounds/sec and stamps/sec per clock "
             "family at 8-64 replicas, batched streams vs the per-envelope "
-            "baseline, with the batched-vs-per-envelope ratio at 32 "
-            "replicas tracked), and chaos (rounds-to-convergence and fault "
+            "baseline, with the version-stamp steady state's stamps and "
+            "messages per round at 32 replicas tracked), and chaos "
+            "(rounds-to-convergence and fault "
             "counters under a faulty transport at 0/10/30 percent loss, all "
             "deterministic seeded counts, with the clean-vs-10-percent "
             "convergence-efficiency ratio tracked), health (grey-failure "
@@ -1311,7 +1317,8 @@ def main(argv=None):
             "and durability ratios of a fresh "
             "snapshot against the committed BENCH_ops.json and fails CI "
             "when a timed one drops more than 30 percent below its floor or "
-            "a deterministic one (chaos, health, scale) moves at all "
+            "a deterministic one (the replication steady state's stamps "
+            "and messages per round, chaos, health, scale) moves at all "
             "(sections absent from the committed snapshot are skipped, so a "
             "PR adding a section can land)."
         ),
@@ -1404,7 +1411,9 @@ def main(argv=None):
         f"  sync batched vs per-envelope "
         f"({replication['tracked_family']} @ "
         f"{replication['tracked_replicas']} replicas): "
-        f"{replication['batched_vs_per_envelope']:.1f}x"
+        f"{replication['batched_vs_per_envelope']:.1f}x, "
+        f"{replication['stamps_per_round']:g} stamps and "
+        f"{replication['batched_messages_per_round']:g} messages per round"
     )
     chaos = data["chaos"]
     for loss, arm in chaos["loss_levels"].items():

@@ -13,8 +13,6 @@ repro.cli``).  The CLI exposes the pieces a user reaches for first:
   ordering agreement and metadata sizes;
 * ``repro kernel ...``    -- list the registered clock families and
   round-trip clocks through the epoch-tagged wire envelope;
-* ``repro sync-bench``    -- measure batched-stream vs per-envelope
-  anti-entropy throughput of the wire sync engine for any clock family;
 * ``repro panasync ...``  -- track dependencies among file copies on disk.
 
 Every command prints plain text and exits non-zero on failure, so the CLI is
@@ -242,114 +240,6 @@ def _cmd_kernel(args: argparse.Namespace) -> int:
         print(f"restored vs peer:     {restored.compare(right).value}")
         return 0 if restored == left else 1
     raise AssertionError(f"unhandled kernel action {action!r}")  # pragma: no cover
-
-
-# ---------------------------------------------------------------------------
-# sync-bench subcommand
-# ---------------------------------------------------------------------------
-
-
-def _cmd_sync_bench(args: argparse.Namespace) -> int:
-    import random
-    import time
-
-    from .replication import (
-        AntiEntropy,
-        FullyConnectedNetwork,
-        KernelTracker,
-        MobileNode,
-        WireSyncEngine,
-    )
-
-    if args.rounds < 1:
-        print("error: --rounds must be at least 1", file=sys.stderr)
-        return 1
-    if args.warmup < 0 or args.replicas < 2 or args.keys < 1 or args.repeats < 1:
-        print(
-            "error: need --warmup >= 0, --replicas >= 2, --keys >= 1 "
-            "and --repeats >= 1",
-            file=sys.stderr,
-        )
-        return 1
-
-    def timed_arm(family: str, batched: bool):
-        """One timed measurement of one arm; returns (elapsed, stats)."""
-        network = FullyConnectedNetwork()
-        nodes = [
-            MobileNode.first(
-                "n0", network, tracker_factory=KernelTracker.factory(family)
-            )
-        ]
-        for index in range(1, args.replicas):
-            nodes.append(nodes[-1].spawn_peer(f"n{index}"))
-        rng = random.Random(args.seed)
-        for index in range(args.keys):
-            rng.choice(nodes).write(f"key{index}", f"value{index}")
-        engine = WireSyncEngine(batched=batched)
-        gossip = AntiEntropy(nodes, rng=random.Random(args.seed + 1), engine=engine)
-        for _ in range(args.warmup):
-            gossip.run_round()
-        shipped = engine.stamps_shipped
-        messages, sent = engine.meter.snapshot()
-        start = time.perf_counter()
-        for _ in range(args.rounds):
-            gossip.run_round()
-        elapsed = time.perf_counter() - start
-        stats = (
-            (engine.stamps_shipped - shipped) / args.rounds,
-            (engine.meter.messages - messages) / args.rounds,
-            (engine.meter.bytes_sent - sent) / args.rounds,
-        )
-        return elapsed, stats
-
-    families = kernel.families() if args.clock == "all" else [args.clock]
-    print(
-        f"steady-state anti-entropy: {args.replicas} replicas, "
-        f"{args.keys} keys, {args.rounds} timed rounds per arm, "
-        f"best of {args.repeats} interleaved repeats"
-    )
-    print(
-        f"{'family':<16} {'mode':<13} {'rounds/s':>9} {'stamps/s':>10} "
-        f"{'msgs/round':>11} {'bytes/round':>12} {'speedup':>8}"
-    )
-    worst = None
-    for family in families:
-        # Best-of-N with the arms interleaved (the perf_snapshot.py idiom):
-        # a GC pause or scheduler stall lands on one repeat of one arm, not
-        # on a whole arm, so the min-over-repeats ratio cannot flake a
-        # --min-speedup gate the way a single perf_counter shot per arm can.
-        best = {}
-        for _ in range(args.repeats):
-            for batched in (True, False):
-                elapsed, stats = timed_arm(family, batched)
-                if batched not in best or elapsed < best[batched][0]:
-                    best[batched] = (elapsed, stats)
-        rates = {
-            batched: (args.rounds / elapsed if elapsed else float("inf"))
-            for batched, (elapsed, _) in best.items()
-        }
-        for batched in (True, False):
-            rate = rates[batched]
-            stamps, msgs, nbytes = best[batched][1]
-            mode = "batched" if batched else "per-envelope"
-            print(
-                f"{family:<16} {mode:<13} {rate:>9,.1f} "
-                f"{rate * stamps:>10,.0f} "
-                f"{msgs:>11,.1f} "
-                f"{nbytes:>12,.0f} "
-                + (f"{rates[True] / rates[False]:>8.1f}x" if not batched else f"{'':>8}")
-            )
-        speedup = rates[True] / rates[False]
-        worst = speedup if worst is None else min(worst, speedup)
-    if args.min_speedup is not None and worst is not None:
-        if worst < args.min_speedup:
-            print(
-                f"FAIL: worst batched speedup {worst:.2f}x is below "
-                f"--min-speedup {args.min_speedup:.2f}x"
-            )
-            return 1
-        print(f"ok: worst batched speedup {worst:.2f}x")
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -704,41 +594,6 @@ def build_parser() -> argparse.ArgumentParser:
     roundtrip.add_argument("--clock", choices=kernel.families(), default="version-stamp")
     roundtrip.add_argument("--epoch", type=int, default=0, help="epoch tag to stamp on the clock")
     kernel_parser.set_defaults(handler=_cmd_kernel)
-
-    # sync-bench
-    sync_bench = subparsers.add_parser(
-        "sync-bench",
-        help="measure batched vs per-envelope anti-entropy sync throughput",
-    )
-    sync_bench.add_argument(
-        "--clock", default="all",
-        choices=["all"] + kernel.families(),
-        help="clock family to benchmark (default: all registered families)",
-    )
-    sync_bench.add_argument(
-        "--replicas", type=int, default=16, help="population size (default: 16)"
-    )
-    sync_bench.add_argument(
-        "--keys", type=int, default=24, help="replicated keys (default: 24)"
-    )
-    sync_bench.add_argument(
-        "--rounds", type=int, default=30, help="timed gossip rounds per arm (default: 30)"
-    )
-    sync_bench.add_argument(
-        "--warmup", type=int, default=6,
-        help="untimed rounds to reach the steady state (default: 6)",
-    )
-    sync_bench.add_argument("--seed", type=int, default=0, help="workload seed")
-    sync_bench.add_argument(
-        "--repeats", type=int, default=3,
-        help="interleaved timing repeats per arm; the best (minimum) elapsed "
-        "time of each arm is what the speedup gate compares (default: 3)",
-    )
-    sync_bench.add_argument(
-        "--min-speedup", type=float, default=None,
-        help="exit non-zero when the worst batched speedup falls below this",
-    )
-    sync_bench.set_defaults(handler=_cmd_sync_bench)
 
     # serve-sim
     serve_sim = subparsers.add_parser(

@@ -58,10 +58,14 @@ def _journal_rows(connection: sqlite3.Connection) -> List[Tuple[int, bytes]]:
     return connection.execute("SELECT id, blob FROM journal ORDER BY id").fetchall()
 
 
+#: Framing bytes counted per journal row: the u32 length prefix the file
+#: journal writes before each record, so both backends count one unit.
+_ROW_FRAME = 4
+
+
 def _journal_bytes(connection: sqlite3.Connection) -> int:
-    # Each row counts its u32 length prefix too, as in the file journal.
     row = connection.execute(
-        "SELECT COALESCE(SUM(LENGTH(blob) + 4), 0) FROM journal"
+        "SELECT COALESCE(SUM(LENGTH(blob) + ?), 0) FROM journal", (_ROW_FRAME,)
     ).fetchone()
     return int(row[0])
 
@@ -94,9 +98,10 @@ def scan_rows(
     """Walk journal rows ``(id, blob)``: the seal-valid blobs, then any damage.
 
     Read-only -- :meth:`SQLiteDurableLog.replay` deletes the damaged row
-    and every row after it.  Offsets and dropped bytes count blob bytes
-    only, without the length prefix :meth:`~SQLiteDurableLog.journal_bytes`
-    adds per row.
+    and every row after it.  Offsets and dropped bytes count framed bytes,
+    each row's blob plus its 4-byte length prefix, the unit
+    :meth:`~SQLiteDurableLog.journal_bytes` and the file journal count:
+    ``offset + dropped_bytes`` is the journal's size before the cut.
     """
     blobs: List[bytes] = []
     offset = 0
@@ -104,10 +109,10 @@ def scan_rows(
         try:
             decode_record(blob)
         except LogCorrupt as exc:
-            dropped = sum(len(rest) for _, rest in rows[position:])
+            dropped = sum(len(rest) + _ROW_FRAME for _, rest in rows[position:])
             return blobs, TailDamage(offset, dropped, str(exc))
         blobs.append(blob)
-        offset += len(blob)
+        offset += len(blob) + _ROW_FRAME
     return blobs, None
 
 

@@ -40,7 +40,7 @@ from typing import ClassVar, Dict, Tuple
 
 from ..causal.events import EventSource
 from ..causal.history import CausalHistory
-from ..core.encoding import stamp_from_bytes
+from ..core.encoding import name_to_packed, stamp_from_bytes
 from ..core.errors import (
     EncodingError,
     EnvelopeTruncatedError,
@@ -49,9 +49,9 @@ from ..core.errors import (
 )
 from ..core.order import Ordering
 from ..core.stamp import VersionStamp
-from ..itc.encoding import itc_from_bytes
+from ..itc.encoding import _event_packed, itc_from_bytes
 from ..itc.stamp import ITCStamp
-from .wire import ByteReader, append_uvarint
+from .wire import ByteReader, append_uvarint, packed_to_length_prefixed
 
 __all__ = [
     "KernelClock",
@@ -82,6 +82,18 @@ MAX_EVENT_INDEX = 1 << 24
 #: the oracle's deliberate "global view" (see :mod:`repro.causal.events`).
 _GLOBAL_EVENTS = EventSource()
 
+# Bound lazily on first use: :mod:`.envelope` imports this module, and a
+# per-call ``import`` statement costs more than the envelope framing it
+# serves on every freshly minted clock's first ``to_bytes``.
+_envelope = None
+
+
+def _bind_envelope() -> None:
+    global _envelope
+    from . import envelope
+
+    _envelope = envelope
+
 
 def _uvarint_len(value: int) -> int:
     """Byte length of the LEB128 encoding of ``value``."""
@@ -92,18 +104,20 @@ class KernelClock:
     """Common machinery of the kernel clock families (epoch + envelope).
 
     Instances are immutable values, which makes them **encode-once**: the
-    compact payload, the full envelope frame, the exact payload bit size
-    and the hash are each computed on first use and cached in dedicated
-    slots (no instance ever grows a ``__dict__``).  A clock that is
-    serialized repeatedly -- the common case in anti-entropy, where the
-    same stamp is re-shipped every round until it changes -- pays for
-    encoding exactly once.
+    compact payload, the full envelope frame, the knowledge bytes, the
+    exact payload bit size and the hash are each computed on first use
+    and cached in dedicated slots (no instance ever grows a
+    ``__dict__``).  A clock that is serialized repeatedly -- the common
+    case in anti-entropy, where the same stamp is re-shipped every round
+    until it changes -- pays for encoding exactly once.
     """
 
     #: Registry name; doubles as the envelope family tag (via the registry).
     family: ClassVar[str] = "abstract"
 
-    __slots__ = ("_epoch", "_hash", "_wire", "_payload", "_payload_bits")
+    __slots__ = (
+        "_epoch", "_hash", "_wire", "_payload", "_knowledge", "_payload_bits"
+    )
 
     def __init__(self, *, epoch: int = 0) -> None:
         if epoch < 0:
@@ -112,6 +126,7 @@ class KernelClock:
         object.__setattr__(self, "_hash", None)
         object.__setattr__(self, "_wire", None)
         object.__setattr__(self, "_payload", None)
+        object.__setattr__(self, "_knowledge", None)
         object.__setattr__(self, "_payload_bits", None)
 
     def __setattr__(self, name: str, value: object) -> None:
@@ -141,18 +156,18 @@ class KernelClock:
         """
         cached = self._wire
         if cached is None:
-            from .envelope import encode_envelope
-
-            cached = encode_envelope(self)
+            if _envelope is None:
+                _bind_envelope()
+            cached = _envelope.encode_envelope(self)
             object.__setattr__(self, "_wire", cached)
         return cached
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "KernelClock":
         """Decode an envelope; on a subclass, the family must match."""
-        from .envelope import decode_envelope
-
-        clock = decode_envelope(data)
+        if _envelope is None:
+            _bind_envelope()
+        clock = _envelope.decode_envelope(data)
         if cls is not KernelClock and not isinstance(clock, cls):
             raise EncodingError(
                 f"envelope carries a {clock.family!r} clock, "
@@ -173,6 +188,21 @@ class KernelClock:
             object.__setattr__(self, "_payload", cached)
         return cached
 
+    def knowledge_bytes(self) -> bytes:
+        """Canonical bytes of exactly what :meth:`compare` reads (cached).
+
+        Two clocks of one family and epoch with equal knowledge bytes
+        compare EQUAL, whatever their identities: the version-stamp update
+        component, ITC's event tree, the dynamic-VV vector, the whole
+        causal history.  A wire session's digest leg hashes these to
+        settle keys with nothing to sync before any stamp ships.
+        """
+        cached = self._knowledge
+        if cached is None:
+            cached = self._knowledge_bytes()
+            object.__setattr__(self, "_knowledge", cached)
+        return cached
+
     def encoded_size_bits(self) -> int:
         """Exact bit length of the compact binary payload (cached)."""
         cached = self._payload_bits
@@ -182,6 +212,9 @@ class KernelClock:
         return cached
 
     def _payload_bytes(self) -> bytes:
+        raise NotImplementedError
+
+    def _knowledge_bytes(self) -> bytes:
         raise NotImplementedError
 
     def _encoded_size_bits(self) -> int:
@@ -201,6 +234,7 @@ class KernelClock:
         _set(self, "_hash", None)
         _set(self, "_wire", None)
         _set(self, "_payload", None)
+        _set(self, "_knowledge", None)
         _set(self, "_payload_bits", None)
         return self
 
@@ -282,6 +316,10 @@ class VersionStampClock(KernelClock):
         flags = 0x01 if self._stamp.reducing else 0x00
         return bytes((flags,)) + self._stamp.to_bytes()
 
+    def _knowledge_bytes(self) -> bytes:
+        value, count = name_to_packed(self._stamp.update_component)
+        return packed_to_length_prefixed(value, count, count_bytes=4)
+
     @classmethod
     def _decode_payload(cls, payload: bytes, epoch: int) -> "VersionStampClock":
         if not len(payload):
@@ -344,6 +382,10 @@ class ITCClock(KernelClock):
 
     def _payload_bytes(self) -> bytes:
         return self._stamp.to_bytes()
+
+    def _knowledge_bytes(self) -> bytes:
+        value, count = _event_packed(self._stamp.events, 0, 0)
+        return packed_to_length_prefixed(value, count, count_bytes=4)
 
     @classmethod
     def _decode_payload(cls, payload: bytes, epoch: int) -> "ITCClock":
@@ -507,6 +549,16 @@ class DynamicVVClock(KernelClock):
             out += counter.to_bytes(VV_COUNTER_BYTES, "big")
         return bytes(out)
 
+    def _knowledge_bytes(self) -> bytes:
+        # The vector alone: own identifier and fork count never reach
+        # compare(), and a zero counter compares like an absent entry.
+        out = bytearray()
+        for replica, counter in sorted(self._counters.items()):
+            if counter:
+                out += replica.to_bytes(VV_ID_BYTES, "big")
+                append_uvarint(out, counter)
+        return bytes(out)
+
     @staticmethod
     def _id_slot(replica: int) -> bytes:
         if replica <= 0 or replica.bit_length() > VV_ID_BYTES * 8:
@@ -663,6 +715,9 @@ class CausalHistoryClock(KernelClock):
             self._require_issued(event.sequence)
             out += event.sequence.to_bytes(EVENT_ID_BYTES, "big")
         return bytes(out)
+
+    def _knowledge_bytes(self) -> bytes:
+        return self.payload_bytes()
 
     @classmethod
     def _decode_payload(cls, payload: bytes, epoch: int) -> "CausalHistoryClock":

@@ -53,6 +53,7 @@ at module level.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
 
@@ -111,6 +112,10 @@ class MergeReport:
         return self
 
 
+#: Width of a key digest (:meth:`KeyState.digest`): 128-bit BLAKE2b.
+DIGEST_BYTES = 16
+
+
 @dataclass
 class KeyState:
     """The live state of one key at one replica: sibling values + tracker."""
@@ -118,6 +123,44 @@ class KeyState:
     values: List[object]
     tracker: CausalityTracker
     independently_created: bool = False
+    #: ``(clock, values, digest)`` of the last :meth:`digest` call.
+    _digest: Optional[tuple] = field(
+        default=None, init=False, repr=False, compare=False
+    )
+
+    def digest(self) -> bytes:
+        """A 128-bit BLAKE2b of the key's family, epoch, knowledge and siblings.
+
+        The knowledge is the clock's :meth:`~repro.kernel.clocks.
+        KernelClock.knowledge_bytes`; the siblings enter as the sorted
+        ``repr`` of each value.  Equal digests at two replicas mean, up to
+        a 2^-128 collision, that the trackers compare EQUAL, so a sync of
+        the key would change nothing.  Requires a kernel tracker.
+
+        Cached for as long as the state holds the same clock object and
+        the same values list, both compared by identity.  Clocks are
+        immutable and every mutation path assigns a fresh values list, so
+        no path has to invalidate the cache -- not even code that assigns
+        ``tracker`` or ``_keys[...]`` directly.
+        """
+        clock = self.tracker.clock
+        values = self.values
+        cached = self._digest
+        if cached is not None and cached[0] is clock and cached[1] is values:
+            return cached[2]
+        knowledge = clock.knowledge_bytes()
+        # Every variable-length field is preceded by its length.
+        hasher = hashlib.blake2b(
+            b"%s %d %d " % (clock.family.encode(), clock.epoch, len(knowledge)),
+            digest_size=DIGEST_BYTES,
+        )
+        hasher.update(knowledge)
+        for text in sorted(map(repr, values)):
+            data = text.encode()
+            hasher.update(b"%d %s" % (len(data), data))
+        digest = hasher.digest()
+        self._digest = (clock, values, digest)
+        return digest
 
 
 class StoreReplica:
@@ -407,8 +450,8 @@ class StoreReplica:
         decoded off the wire.  A pair of causally EQUAL trackers is left
         untouched -- both already carry identical knowledge, so the
         join-and-fork would only churn metadata.  The engine relies on
-        that stability: unchanged trackers re-ship as byte-identical
-        frames, which its decode intern turns into dictionary hits.
+        that stability: an unchanged key keeps its clock object, so its
+        cached :meth:`KeyState.digest` settles the next session at once.
 
         Epoch-gossip straggler upgrade: when the two trackers disagree on
         their re-rooting epoch, the older-epoch side is a straggler that

@@ -21,27 +21,35 @@ of causal metadata a sync moves actually crosses a wire boundary as bytes.
 :meth:`StoreReplica.sync_with`, :meth:`MobileNode.sync_with` and
 :class:`AntiEntropy` (with or without ``engine=``) all run its
 :meth:`~WireSyncEngine.session`.  A reconciliation between stores ``A``
-and ``B`` is two transfers:
+and ``B`` is up to three transfers:
 
-1. *request* -- ``B`` ships the trackers of every key it holds; batched
-   mode frames them as **one stream per (family, epoch) group**
+1. *digest* -- ``A`` ships a 128-bit digest of every key both sides hold
+   (:meth:`~repro.replication.store.KeyState.digest`: family, epoch, the
+   clock's :meth:`~repro.kernel.clocks.KernelClock.knowledge_bytes` and
+   the sorted sibling values), 16 bytes per key in one message.  A key
+   whose digests match is *settled*: nothing about it is shipped,
+   decoded, merged, snapshotted or journaled;
+2. *request* -- ``B`` ships the trackers of every other key it holds;
+   batched mode frames them as **one stream per (family, epoch) group**
    (:mod:`repro.kernel.stream`), per-envelope mode as one envelope per
-   stamp (the PR-4 baseline);
-2. ``A`` decodes (lazily and through a shared
-   :class:`~repro.kernel.stream.InternTable` in batched mode), runs the
-   store's per-key merge, and
-3. *response* -- ships back only the trackers that changed, which ``B``
-   installs after decoding, so what a store holds after a wire sync has
-   genuinely round-tripped the codec.
+   stamp.  ``A`` decodes them (lazily and through a shared
+   :class:`~repro.kernel.stream.InternTable` in batched mode) and runs
+   the store's per-key merge;
+3. *response* -- ``A`` ships back only the trackers that changed, which
+   ``B`` installs after decoding, so what a store holds after a wire sync
+   has genuinely round-tripped the codec.
 
-Causally EQUAL keys keep their trackers, so the steady state of
-anti-entropy -- most keys unchanged between rounds -- re-ships
-byte-identical frames, and the batched engine's intern table turns
-their re-decode into dictionary hits while byte-equality doubles as
-a free EQUAL check (the codecs are canonical, so equal bytes mean equal
-clocks).  The per-envelope baseline re-decodes every envelope every round.
-Both modes drive the identical merge logic, so they produce identical
-configurations -- a property test locks this in against the causal oracle.
+A matching digest settles a key soundly because equal knowledge bytes of
+one family and epoch make ``compare()`` EQUAL -- the codecs are canonical
+-- and an EQUAL pair is a no-op for the merge.  The sibling values can
+only turn a match into a mismatch.  A collision could settle a key that
+differs; with 128-bit digests its probability is at most n * 2^-128 over n
+key comparisons, and the key is repaired by the next session whose
+digests differ.  Causally EQUAL keys keep their trackers, so the steady
+state of anti-entropy -- most keys unchanged between rounds -- costs one
+16-byte digest per key and ships no stamps.  Both framings drive the
+identical merge logic, so they produce identical configurations -- a
+property test locks this in against the causal oracle.
 
 Degrading gracefully under faults
 ---------------------------------
@@ -63,6 +71,9 @@ through scheduled loss, duplication, reordering and corruption:
   :class:`~repro.replication.store.MergeReport`, the rest of the pairwise
   sync proceeds, and the key heals on a later round (the intern table is
   never poisoned -- it only admits successfully decoded clocks);
+* a *digest* leg lost past the retry budget ends the session untouched,
+  every key reported lost like a lost request leg's keys: its outcome
+  decides which keys the request leg carries;
 * keys whose *response* leg is lost past the retry budget are rolled back
   on **both** sides to their pre-sync state: a half-installed join/fork
   would strand one half of freshly split identifier space, an I2 hazard
@@ -101,7 +112,7 @@ from .faults import FaultyTransport, RetryPolicy
 from .history import SyncHistory
 from .network import NetworkMeter
 from .node import MobileNode, replicas_agree
-from .store import FrameRejected, KeyState, MergeReport, StoreReplica
+from .store import DIGEST_BYTES, FrameRejected, KeyState, MergeReport, StoreReplica
 from .tracker import KernelTracker
 
 __all__ = [
@@ -121,8 +132,9 @@ class SessionAbort(Exception):
     A driver that decides a session must not continue -- the service
     interpreter's deadline enforcement -- calls ``session.throw(SessionAbort())``
     at the suspended wire effect.  Every yield of the session generator
-    sits inside a transfer leg, so the abort surfaces at one of the two
-    ``_ship`` calls; the generator restores both replicas from the
+    sits inside a transfer leg, so the abort surfaces at the digest leg,
+    which has changed nothing yet, or at one of the two ``_ship`` calls,
+    where the generator restores both replicas from the
     session's transactional snapshots and re-raises, guaranteeing the
     aborted session left no half-merged key behind (the same I2-hazard
     discipline the response-loss rollback follows).  The driver then
@@ -289,9 +301,10 @@ class WireSyncEngine:
             transport.meter = self.meter
         #: Stamps that crossed the wire (both directions, all syncs).
         self.stamps_shipped = 0
-        #: Keys settled by the canonical-bytes EQUAL fast path alone.
+        #: Keys settled by the digest leg (equal digests, nothing shipped).
         self.equal_bytes_skips = 0
-        #: Keys settled by the pointer-identity EQUAL verdict cache.
+        #: Always 0: the digest leg replaced the EQUAL verdict cache this
+        #: counted.  ``perfbench/tracing.py`` still reads it.
         self.equal_cache_hits = 0
         #: Messages given up on after exhausting the retry budget.
         self.deliveries_failed = 0
@@ -299,33 +312,8 @@ class WireSyncEngine:
         self.frames_rejected = 0
         #: Stale-epoch stragglers fiat-upgraded during merges (all syncs).
         self.epoch_upgrades = 0
-        # The pointer-equality dividend of the intern table: once a frame
-        # decodes to the *same object* round after round, a previously
-        # computed EQUAL verdict for (my clock, that object) can be reused
-        # with one dictionary hit.  Keyed by object identity -- the cached
-        # entry holds strong references, so the ids cannot be recycled
-        # while the verdict lives.  Clock immutability makes this sound;
-        # bounded FIFO like every other cache in this codebase.
-        self._equal_verdicts: Dict[Tuple[int, int], Tuple[object, object]] = {}
-        # One tracker wrapper per decoded clock object (wrappers are
-        # stateless beyond the clock, so sharing them is safe; the wrapper
-        # holds the clock alive, so a live cache entry's id is never
-        # recycled -- the identity check makes a stale hit impossible).
-        self._wrappers: Dict[int, KernelTracker] = {}
 
-    _MAX_CACHED = 1 << 16
     _CRC_BYTES = 4
-
-    def _wrap(self, clock) -> KernelTracker:
-        key = id(clock)
-        cached = self._wrappers.get(key)
-        if cached is not None and cached.clock is clock:
-            return cached
-        tracker = KernelTracker(clock)
-        if len(self._wrappers) >= self._MAX_CACHED:
-            self._wrappers.clear()
-        self._wrappers[key] = tracker
-        return tracker
 
     @staticmethod
     def _clock_of(store: StoreReplica, key: str, state: KeyState):
@@ -455,11 +443,11 @@ class WireSyncEngine:
         """Transfer the trackers of ``items`` from sender to receiver.
 
         A sans-io generator (effects as in :meth:`_deliver_batch`) whose
-        *return value* is ``key -> (decoded clock, raw frame payload)`` on
-        the receiving side; the raw payload feeds the canonical-bytes
-        EQUAL fast path, and the decoded clock is materialized lazily (a
-        ``ClockStream`` index access) only for keys that need a real
-        merge.  One stream per (family, epoch) group in batched mode, one
+        *return value* is ``key -> (frame, group)`` on the receiving side:
+        the frame's clock is materialized lazily (a ``ClockStream`` index
+        access) when the merge reads it, and ``group`` is the frame's
+        ``(family, epoch)`` for rejection reports (``None`` per envelope).
+        One stream per (family, epoch) group in batched mode, one
         envelope per stamp otherwise; either way the meter sees every
         message and attempt.  Keys whose message exhausted the transport
         retry budget are simply absent from the result -- the caller skips
@@ -521,11 +509,9 @@ class WireSyncEngine:
             stream = results.get(index)
             if stream is None:
                 continue
+            group = (family_name, epoch)
             for frame_index, (key, _) in enumerate(members):
-                received[key] = (
-                    _LazyFrame(stream, frame_index),
-                    (family_name, epoch, stream.frame_bytes(frame_index)),
-                )
+                received[key] = (_LazyFrame(stream, frame_index), group)
         return received
 
     # -- per-key transactionality ------------------------------------------
@@ -556,12 +542,9 @@ class WireSyncEngine:
 
     @staticmethod
     def _reject(
-        report: MergeReport, key: str, raw, stage: str, error: Exception
+        report: MergeReport, key: str, group, stage: str, error: Exception
     ) -> None:
-        if raw is not None:
-            family_name, epoch = raw[0], raw[1]
-        else:
-            family_name, epoch = "unknown", -1
+        family_name, epoch = group if group is not None else ("unknown", -1)
         report.frames_rejected.append(
             FrameRejected(
                 key=key,
@@ -586,8 +569,9 @@ class WireSyncEngine:
         all causal metadata round-trips the codec.  Under a faulty
         transport the sync is *per-key transactional*: a key whose frames
         are lost or damaged past the retry budget is either skipped
-        untouched (request leg) or rolled back on both sides (response
-        leg); every other key of the pairwise sync completes normally.
+        untouched (digest or request leg) or rolled back on both sides
+        (response leg); every other key of the pairwise sync completes
+        normally.
 
         ``keys`` restricts the exchange to the named subset -- the
         sharding hook: every key's merge is independent of every other
@@ -627,13 +611,25 @@ class WireSyncEngine:
         same call sequence; drivers differ only in what they do with the
         effects.
 
+        The session runs three legs (module docstring): a digest leg
+        from ``first`` settles the keys whose digests match, and the
+        request and response legs run over the rest only.  Settled keys
+        count in ``keys_examined`` and in :attr:`equal_bytes_skips`, and
+        the sync history lists them as synced.  The 128-bit digests bound
+        the chance that a collision settles a key that differs by
+        n * 2^-128 over n key comparisons; such a key changes on neither
+        side, and the next session whose digests differ repairs it.  A
+        digest leg lost past the retry budget ends the session with every
+        key left untouched and reported ``request-lost``.
+
         ``abortable`` opts the session into deadline cancellation: the
         transactional snapshots are taken even on a perfect transport,
         so a driver may ``throw(SessionAbort())`` at any yielded effect
         and both replicas roll back to their pre-session state before
-        the abort propagates.  The flag exists because snapshots cost
-        memory proportional to the key subset -- drivers without a
-        deadline keep the old zero-overhead path.
+        the abort propagates.  An abort at the digest leg finds nothing
+        changed yet.  The flag exists because snapshots cost memory
+        proportional to the key subset -- drivers without a deadline
+        keep the old zero-overhead path.
         """
         if first is second:
             raise ReplicationError("a store replica cannot synchronize with itself")
@@ -648,142 +644,26 @@ class WireSyncEngine:
         if keys is not None:
             spanned &= set(keys)
         keys = sorted(spanned)
-        faulty = self.transport is not None
-        backup = None
-        if faulty or abortable:
-            backup = {
-                key: (
-                    self._snapshot(first._keys.get(key)),
-                    self._snapshot(second._keys.get(key)),
-                )
-                for key in keys
-            }
 
-        # Request leg: second ships everything it holds to first.  An
-        # abort thrown at one of this leg's effects arrives before any
-        # merge ran; the restore is then a no-op, kept for uniformity.
-        held = [(key, second._keys[key]) for key in keys if key in second._keys]
-        try:
-            received = yield from self._ship(second, first, held)
-        except SessionAbort:
-            if backup is not None:
-                self._restore_session(first, second, backup)
-            raise
-
+        # Digest leg.  Nothing has changed yet, so an abort thrown at one
+        # of its effects leaves nothing to restore.
+        settled = yield from self._digest_leg(first, second, keys)
+        if settled is None:
+            # Lost past the retry budget, like a lost request leg: every
+            # key stays untouched until a later round.
+            pending: List[str] = []
+            request_lost = keys
+        else:
+            pending = [key for key in keys if key not in settled]
+            request_lost = []
+            self.equal_bytes_skips += len(settled)
+        report.keys_examined += len(keys) - len(pending)
         changed: List[str] = []
-        request_lost: List[str] = []
-        for key in keys:
-            mine = first._keys.get(key)
-            theirs = second._keys.get(key)
-            report.keys_examined += 1
-            if theirs is None:
-                # Replicate first -> second: fork the holder's tracker; the
-                # remote half rides the response leg to its new home.
-                local, remote = mine.tracker.forked()
-                mine.tracker = local
-                second._keys[key] = KeyState(values=list(mine.values), tracker=remote)
-                mine.independently_created = False
-                report.keys_replicated += 1
-                report.values_taken += len(mine.values)
-                changed.append(key)
-                continue
-            if key not in received:
-                # The request-leg message carrying this key never made it
-                # past the retry budget: leave both sides untouched and
-                # let a later round heal the difference.
-                request_lost.append(key)
-                continue
-            frame, raw = received[key]
-            if mine is None:
-                # Replicate second -> first from the decoded wire copy.
-                try:
-                    holder = KernelTracker(_materialize(frame))
-                except EncodingError as error:
-                    self._reject(report, key, raw, "request", error)
-                    continue
-                local, remote = holder.forked()
-                theirs.tracker = local
-                first._keys[key] = KeyState(values=list(theirs.values), tracker=remote)
-                theirs.independently_created = False
-                report.keys_replicated += 1
-                report.values_taken += len(theirs.values)
-                changed.append(key)
-                continue
-            independent = mine.independently_created and theirs.independently_created
-            if raw is not None and not independent:
-                # Canonical-bytes fast path: the codec maps equal clocks to
-                # equal bytes, so a frame matching our own payload proves
-                # EQUAL without decoding it (the converse does not hold --
-                # distinct EQUAL clocks still decode and compare below).
-                clock = mine.tracker.clock
-                if (
-                    (clock.family, clock.epoch) == raw[:2]
-                    and clock.payload_bytes() == raw[2]
-                ):
-                    self.equal_bytes_skips += 1
-                    continue
-            try:
-                remote_clock = _materialize(frame)
-            except EncodingError as error:
-                # One damaged frame costs this key this round, nothing
-                # more: the group's other frames and the sync's other
-                # keys proceed (and the intern table only ever admits
-                # successfully decoded clocks, so it is not poisoned).
-                self._reject(report, key, raw, "request", error)
-                continue
-            mine_clock = mine.tracker.clock
-            verdict_key = (id(mine_clock), id(remote_clock))
-            if not independent and verdict_key in self._equal_verdicts:
-                # Both objects are pointer-stable (intern table) and were
-                # proven causally EQUAL before: nothing to move, nothing
-                # to re-fork, nothing to ship back.
-                self.equal_cache_hits += 1
-                theirs.tracker = self._wrap(remote_clock)
-                continue
-            before = self._wrap(remote_clock)
-            theirs.tracker = before
-            mine_before = mine.tracker
-            first._merge_key_states(mine, theirs, report)
-            if theirs.tracker is not before:
-                changed.append(key)
-            elif mine.tracker is mine_before and not independent:
-                # EQUAL no-op: remember the verdict for the next round.
-                if len(self._equal_verdicts) >= self._MAX_CACHED:
-                    self._equal_verdicts.clear()
-                self._equal_verdicts[verdict_key] = (mine_clock, remote_clock)
-
-        # Response leg: only second-side trackers that changed go back.
-        # An abort here lands after the merge mutated both sides: restore
-        # every snapshotted key so the cancelled session is a no-op (no
-        # journal record has been written yet -- journaling happens after
-        # this leg completes -- so a crash-after-abort recovers cleanly).
-        try:
-            returned = yield from self._ship(
-                first, second, [(key, second._keys[key]) for key in changed]
-            )
-        except SessionAbort:
-            if backup is not None:
-                self._restore_session(first, second, backup)
-            raise
         rolled_back = set()
-        for key in changed:
-            entry = returned.get(key)
-            if entry is not None:
-                frame, raw = entry
-                try:
-                    second._keys[key].tracker = KernelTracker(_materialize(frame))
-                    continue
-                except EncodingError as error:
-                    self._reject(report, key, raw, "response", error)
-            # The response leg for this key was lost or damaged past the
-            # retry budget.  Roll BOTH sides back to their pre-sync state:
-            # completing only one half of a join/fork would strand freshly
-            # split identifier space across an unfinished exchange (an I2
-            # hazard that can manufacture false orderings later).
-            mine_snap, theirs_snap = backup[key]
-            self._restore(first, key, mine_snap)
-            self._restore(second, key, theirs_snap)
-            rolled_back.add(key)
+        if pending:
+            changed, request_lost, rolled_back = yield from self._exchange(
+                first, second, pending, report, abortable
+            )
         # Rolled-back keys are byte-identical to their already journaled
         # pre-sync state, so the barrier journals only completed changes.
         # A crash mid-sync thus recovers to the pre-sync state -- exactly
@@ -827,6 +707,180 @@ class WireSyncEngine:
                 deliveries_failed=self.deliveries_failed - before_failed,
             )
         return report
+
+    def _digest_leg(
+        self, first: StoreReplica, second: StoreReplica, keys: List[str]
+    ):
+        """Ship ``first``'s key digests to ``second``; return the keys they settle.
+
+        A sans-io generator (effects as in :meth:`_deliver_batch`).  The
+        leg covers every key of ``keys`` that both sides hold with kernel
+        trackers and that neither side created independently.  ``first``
+        ships each such key's :meth:`~repro.replication.store.KeyState.
+        digest` as one message, 16 bytes per key in key order; the key
+        list rides the session's out-of-band control data.  The return
+        value is the set of keys whose digests match ``second``'s own, or
+        ``None`` when the message was lost past the retry budget.  When
+        no key qualifies, nothing is sent and nothing settles.
+        """
+        first_keys, second_keys = first._keys, second._keys
+        shared: List[Tuple[str, KeyState]] = []
+        digests: List[bytes] = []
+        for key in keys:
+            mine = first_keys.get(key)
+            theirs = second_keys.get(key)
+            if (
+                mine is not None
+                and theirs is not None
+                and not (mine.independently_created or theirs.independently_created)
+                and isinstance(mine.tracker, KernelTracker)
+                and isinstance(theirs.tracker, KernelTracker)
+            ):
+                shared.append((key, theirs))
+                digests.append(mine.digest())
+        if not shared:
+            return set()
+        blob = b"".join(digests)
+
+        def validate_digests(index: int, body: bytes) -> bytes:
+            if len(body) != len(blob):
+                raise EncodingError(
+                    f"digest leg carries {len(body)} bytes, not the "
+                    f"{len(blob)} its {len(shared)} announced keys take"
+                )
+            return body
+
+        delivered = yield from self._deliver_batch(
+            first.name, second.name, [blob], validate_digests
+        )
+        body = delivered.get(0)
+        if body is None:
+            return None
+        return {
+            key
+            for offset, (key, theirs) in zip(range(0, len(body), DIGEST_BYTES), shared)
+            if body[offset : offset + DIGEST_BYTES] == theirs.digest()
+        }
+
+    def _exchange(
+        self,
+        first: StoreReplica,
+        second: StoreReplica,
+        keys: List[str],
+        report: MergeReport,
+        abortable: bool,
+    ):
+        """The request and response legs over the keys the digests left.
+
+        A sans-io generator (effects as in :meth:`_deliver_batch`) that
+        merges into ``report`` and returns ``(changed, request_lost,
+        rolled_back)``: the keys whose merged trackers shipped back, the
+        keys whose request leg was lost, and the changed keys rolled back
+        on both sides because their response leg was lost.
+        """
+        backup = None
+        if self.transport is not None or abortable:
+            backup = {
+                key: (
+                    self._snapshot(first._keys.get(key)),
+                    self._snapshot(second._keys.get(key)),
+                )
+                for key in keys
+            }
+
+        # Request leg: second ships everything it holds to first.  An
+        # abort thrown at one of this leg's effects arrives before any
+        # merge ran; the restore is then a no-op, kept for uniformity.
+        held = [(key, second._keys[key]) for key in keys if key in second._keys]
+        try:
+            received = yield from self._ship(second, first, held)
+        except SessionAbort:
+            if backup is not None:
+                self._restore_session(first, second, backup)
+            raise
+
+        changed: List[str] = []
+        request_lost: List[str] = []
+        for key in keys:
+            mine = first._keys.get(key)
+            theirs = second._keys.get(key)
+            report.keys_examined += 1
+            if theirs is None:
+                # Replicate first -> second: fork the holder's tracker; the
+                # remote half rides the response leg to its new home.
+                local, remote = mine.tracker.forked()
+                mine.tracker = local
+                second._keys[key] = KeyState(values=list(mine.values), tracker=remote)
+                mine.independently_created = False
+                report.keys_replicated += 1
+                report.values_taken += len(mine.values)
+                changed.append(key)
+                continue
+            if key not in received:
+                # The request-leg message carrying this key never made it
+                # past the retry budget: leave both sides untouched and
+                # let a later round heal the difference.
+                request_lost.append(key)
+                continue
+            frame, group = received[key]
+            try:
+                remote_clock = _materialize(frame)
+            except EncodingError as error:
+                # One damaged frame costs this key this round, nothing
+                # more: the group's other frames and the sync's other
+                # keys proceed (and the intern table only ever admits
+                # successfully decoded clocks, so it is not poisoned).
+                self._reject(report, key, group, "request", error)
+                continue
+            if mine is None:
+                # Replicate second -> first from the decoded wire copy.
+                local, remote = KernelTracker(remote_clock).forked()
+                theirs.tracker = local
+                first._keys[key] = KeyState(values=list(theirs.values), tracker=remote)
+                theirs.independently_created = False
+                report.keys_replicated += 1
+                report.values_taken += len(theirs.values)
+                changed.append(key)
+                continue
+            before = KernelTracker(remote_clock)
+            theirs.tracker = before
+            first._merge_key_states(mine, theirs, report)
+            if theirs.tracker is not before:
+                changed.append(key)
+
+        # Response leg: only second-side trackers that changed go back.
+        # An abort here lands after the merge mutated both sides: restore
+        # every snapshotted key so the cancelled session is a no-op (no
+        # journal record has been written yet -- journaling happens after
+        # this leg completes -- so a crash-after-abort recovers cleanly).
+        try:
+            returned = yield from self._ship(
+                first, second, [(key, second._keys[key]) for key in changed]
+            )
+        except SessionAbort:
+            if backup is not None:
+                self._restore_session(first, second, backup)
+            raise
+        rolled_back = set()
+        for key in changed:
+            entry = returned.get(key)
+            if entry is not None:
+                frame, group = entry
+                try:
+                    second._keys[key].tracker = KernelTracker(_materialize(frame))
+                    continue
+                except EncodingError as error:
+                    self._reject(report, key, group, "response", error)
+            # The response leg for this key was lost or damaged past the
+            # retry budget.  Roll BOTH sides back to their pre-sync state:
+            # completing only one half of a join/fork would strand freshly
+            # split identifier space across an unfinished exchange (an I2
+            # hazard that can manufacture false orderings later).
+            mine_snap, theirs_snap = backup[key]
+            self._restore(first, key, mine_snap)
+            self._restore(second, key, theirs_snap)
+            rolled_back.add(key)
+        return changed, request_lost, rolled_back
 
 
 class AntiEntropy:

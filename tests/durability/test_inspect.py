@@ -186,6 +186,52 @@ class TestInspect:
         assert "crc FAILED" in out
 
 
+def flip_second_record(path, backend):
+    """Flip one bit inside the second journal record's sealed blob."""
+    if backend == "file":
+        journal = path / FileDurableLog.JOURNAL
+        data = bytearray(journal.read_bytes())
+        first = int.from_bytes(data[:4], "big")
+        data[4 + first + 4 + 10] ^= 0x01
+        journal.write_bytes(bytes(data))
+        return
+    connection = sqlite3.connect(os.fspath(path / SQLITE_FILENAME))
+    row_id, blob = connection.execute(
+        "SELECT id, blob FROM journal ORDER BY id LIMIT 1 OFFSET 1"
+    ).fetchone()
+    damaged = bytearray(blob)
+    damaged[10] ^= 0x01
+    connection.execute(
+        "UPDATE journal SET blob = ? WHERE id = ?", (bytes(damaged), row_id)
+    )
+    connection.commit()
+    connection.close()
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("where", ["torn-tail", "second-record"])
+def test_damage_offsets_count_journal_bytes(tmp_path, capsys, backend, where):
+    """The valid prefix plus the dropped bytes is the whole journal.
+
+    Both backends count a record as its blob plus a 4-byte length
+    prefix, so ``repro store inspect`` prints the cut offset and the
+    journal size in one unit.
+    """
+    store, path = build_store(tmp_path, backend)
+    if where == "torn-tail":
+        store.journal.simulate_crash(torn_bytes=3)
+        store.journal.close()
+    else:
+        store.journal.close()
+        flip_second_record(path, backend)
+    size, damage = recovery_view(tmp_path, path, backend)
+    assert damage is not None
+    assert damage.offset + damage.dropped_bytes == size
+    out = run_cli(capsys, path)[1]
+    assert f"journal:  {size} bytes" in out
+    assert f"valid prefix ends at byte {damage.offset};" in out
+
+
 def test_sqlite_store_as_file_and_as_directory(tmp_path, capsys):
     store, path = build_store(tmp_path, "sqlite")
     store.journal.close()

@@ -1,7 +1,7 @@
 """``benchmarks/check_regression.py`` gates timed and deterministic ratios apart.
 
-Timed ratios get a tolerance for runner noise; the three deterministic
-ratios (seeded counts and virtual times) must match their committed values
+Timed ratios get a tolerance for runner noise; the five deterministic
+values (seeded counts and virtual times) must match their committed values
 in both directions.  Each case writes two small snapshot files and runs the
 script the way CI does.
 """
@@ -21,7 +21,7 @@ COMMITTED = {
     "lockstep": {"speedup_vs_refhistory": 3.0},
     "reroot": {"speedup_vs_raw": 2.0},
     "codec": {"envelope_vs_json_roundtrip": 5.0},
-    "replication": {"batched_vs_per_envelope": 2.0},
+    "replication": {"stamps_per_round": 0.0, "batched_messages_per_round": 32.0},
     "chaos": {"convergence_efficiency": 1.0},
     "health": {"grey_resilience": 3.42531360645453},
     "scale": {"convergence_efficiency": 1.4764124866166055},
@@ -63,12 +63,23 @@ def test_deterministic_drift_fails(tmp_path, section, factor):
     assert f"CHANGED: {section}.{key}" in result.stdout
 
 
+@pytest.mark.parametrize(
+    "key, value", [("stamps_per_round", 1.0), ("batched_messages_per_round", 33.0)]
+)
+def test_replication_steady_state_counts_are_exact(tmp_path, key, value):
+    fresh = json.loads(json.dumps(COMMITTED))
+    fresh["replication"][key] = value
+    result = _run(tmp_path, fresh)
+    assert result.returncode == 1
+    assert f"CHANGED: replication.{key}" in result.stdout
+
+
 def test_timed_ratio_twenty_percent_low_passes(tmp_path):
-    result = _run(tmp_path, _with("replication", "batched_vs_per_envelope", 0.8))
+    result = _run(tmp_path, _with("durability", "durable_vs_memory_sync", 0.8))
     assert result.returncode == 0, result.stdout
 
 
 def test_timed_ratio_forty_percent_low_fails(tmp_path):
-    result = _run(tmp_path, _with("replication", "batched_vs_per_envelope", 0.6))
+    result = _run(tmp_path, _with("durability", "durable_vs_memory_sync", 0.6))
     assert result.returncode == 1
-    assert "REGRESSION: replication.batched_vs_per_envelope" in result.stdout
+    assert "REGRESSION: durability.durable_vs_memory_sync" in result.stdout

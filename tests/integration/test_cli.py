@@ -187,35 +187,6 @@ class TestPanasyncCommands:
         assert main(["panasync", "--repository", str(repo), "compare", "f.txt", str(other)]) == 2
 
 
-class TestSyncBenchCommand:
-    def test_reports_min_over_repeats(self, capsys):
-        assert (
-            main(
-                [
-                    "sync-bench", "--clock", "itc", "--replicas", "4", "--keys", "4",
-                    "--rounds", "3", "--warmup", "1", "--repeats", "2",
-                ]
-            )
-            == 0
-        )
-        output = capsys.readouterr().out
-        assert "best of 2 interleaved repeats" in output
-
-    def test_min_speedup_gate_cannot_be_beaten_by_one_lucky_shot(self, capsys):
-        # An absurd threshold must fail deterministically.
-        assert (
-            main(
-                [
-                    "sync-bench", "--clock", "itc", "--replicas", "4", "--keys", "4",
-                    "--rounds", "3", "--warmup", "1", "--repeats", "2",
-                    "--min-speedup", "1e9",
-                ]
-            )
-            == 1
-        )
-        assert "FAIL" in capsys.readouterr().out
-
-
 class TestServeSimCommand:
     def test_small_cluster_converges(self, capsys):
         assert (

@@ -5,15 +5,15 @@ The contract under test:
 * **Lockstep**: for every clock family, a scripted anti-entropy scenario
   (writes interleaved with gossip rounds, including genuine write
   conflicts) produces *identical* store configurations whether the engine
-  batches (streams + intern table + EQUAL fast paths) or ships one
+  batches (streams + intern table) or ships one
   envelope per stamp -- and both match the configuration the
   causal-history oracle family produces for the same scenario, so the
   batching layer cannot change what replication converges to.
 * Default gossip (no ``engine=``) runs a fresh wire engine: it does the
   same work and reaches the same state as an explicit one.
 * Every stamp a sync moves really crosses the codec (meter accounting:
-  batched rounds send one stream per peer pair and direction, per-envelope
-  rounds one message per stamp).
+  a session's digest leg is one message, then batched legs send one
+  stream per direction and per-envelope legs one message per stamp).
 * Only kernel-tracked stores can sync over the wire; anything else is a
   typed :class:`~repro.core.errors.ReplicationError`.
 """
@@ -162,16 +162,17 @@ class TestWireAccounting:
                 assert engine.meter.messages == 5
             assert engine.meter.bytes_sent > 0
             assert engine.stamps_shipped == 5
-            # A second sync is two-sided: request + response.
+            # A second sync starts with one digest message for the five
+            # keys both sides hold; only key0's digests differ, so one
+            # stamp goes each way: request + response.
             shipped = engine.stamps_shipped
             nodes[0].write("key0", "fresh")
             engine.sync(nodes[0].store, nodes[1].store)
             if batched:
-                assert engine.meter.messages == 1 + 2
+                assert engine.meter.messages == 1 + 3
             else:
-                # Request: 5 held stamps; response: only key0 changed.
-                assert engine.meter.messages == 5 + 5 + 1
-            assert engine.stamps_shipped == shipped + 5 + 1
+                assert engine.meter.messages == 5 + 3
+            assert engine.stamps_shipped == shipped + 2
 
     def test_round_report_carries_traffic(self):
         nodes = _population("itc", 3)
@@ -193,7 +194,7 @@ class TestWireAccounting:
         meter.reset()
         assert meter.snapshot() == (0, 0)
 
-    def test_steady_state_reuses_interned_frames(self):
+    def test_converged_rounds_ship_only_digests(self):
         nodes = _population("version-stamp", 4)
         for key in range(6):
             nodes[0].write(f"key{key}", key)
@@ -201,14 +202,14 @@ class TestWireAccounting:
         gossip = AntiEntropy(nodes, rng=random.Random(1), engine=engine)
         for _ in range(12):
             gossip.run_round()
-        hits_before = engine.intern.hits
-        verdicts_before = engine.equal_cache_hits
+        assert gossip.converged()
+        shipped = engine.stamps_shipped
         for _ in range(4):
-            gossip.run_round()
-        # Converged population, no writes: the rounds are pure metadata
-        # re-shipping, which the intern + verdict caches absorb.
-        assert engine.intern.hits > hits_before
-        assert engine.equal_cache_hits > verdicts_before
+            report = gossip.run_round()
+            # Converged population, no writes: every key's digests match,
+            # so each session is its one digest message and nothing else.
+            assert report.messages_sent == report.exchanges == len(nodes)
+        assert engine.stamps_shipped == shipped
 
 
 class TestEngineContract:
