@@ -50,10 +50,9 @@ exactly instead: the check fails when one moves more than a relative 1e-6
 from the committed value, in either direction.  A PR that changes one on
 purpose commits the new value and says why.
 
-No timed floor covers the stream sync path any more: in the steady state
-the replication section measures, no stamp ships, so batched and
-per-envelope sync time the same digest-only sessions.  A slowdown confined
-to the stream encode/decode path is caught by no floor here; perfbench's
+No timed floor covers the stream sync path: the replication section only
+counts its steady state, in which no stamp ships.  A slowdown confined to
+the stream encode/decode path is caught by no floor here; perfbench's
 end-to-end workloads still ship thousands of stamps per pass through it.
 
 A top-level section *wholly absent from the committed snapshot* is skipped

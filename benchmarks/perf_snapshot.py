@@ -44,18 +44,17 @@ Measures three things:
   machines.  The tracked ratio is ``convergence_efficiency``: fault-free
   rounds-to-convergence over rounds-to-convergence at 10% loss -- how
   little the fault matrix stretches the protocol.
-* a **replication sync** benchmark (``replication``): steady-state
-  anti-entropy throughput of the wire sync engine
+* a **replication sync** benchmark (``replication``): the steady-state
+  traffic of the wire sync engine
   (:class:`repro.replication.synchronizer.WireSyncEngine`) over a
   fully-connected population, for every clock family at several replica
-  counts -- gossip rounds/sec and stamps/sec, batched streams vs the
-  per-envelope baseline, plus per-round message/byte counts.  In the
+  counts -- stamps, messages and bytes per anti-entropy round, counted
+  over a fixed number of converged rounds (nothing is timed).  In the
   converged steady state every key's digests match, so a session is its
-  one digest message and ships no stamps in either framing.  The tracked
-  values are that state's counts for version stamps at 32 replicas --
+  one digest message and ships no stamps.  The tracked values are that
+  state's counts for version stamps at 32 replicas --
   ``stamps_per_round`` (0) and ``batched_messages_per_round`` (32, one
-  digest leg per session) -- compared exactly; the rates and
-  ``batched_vs_per_envelope`` are printed, not gated.
+  digest leg per session) -- compared exactly.
 
 * a **contracts** benchmark (``contracts``): the causal ordering
   contract layer (:mod:`repro.contracts`) evaluated in its passing
@@ -114,7 +113,6 @@ from repro.replication import (
     FaultPlan,
     FaultyTransport,
     FullyConnectedNetwork,
-    KernelTracker,
     MobileNode,
     RetryPolicy,
     StoreReplica,
@@ -129,13 +127,15 @@ DEFAULT_FRONTIER_SIZES = (8, 16, 32, 64)
 QUICK_FRONTIER_SIZES = (8, 32)
 
 #: Replication benchmark shape: replica populations per family, the number
-#: of replicated keys, and the warm-up rounds that bring the population to
-#: the steady state (everything replicated everywhere, metadata stable).
+#: of replicated keys, the warm-up rounds that bring the population to
+#: the steady state (everything replicated everywhere, metadata stable),
+#: and the converged rounds counted after them.
 DEFAULT_REPLICA_COUNTS = (8, 16, 32, 64)
 QUICK_REPLICA_COUNTS = (8, 32)
 REPLICATION_KEYS = 24
 REPLICATION_WARMUP_ROUNDS = 6
-#: The tracked replication ratio is measured at this population size.
+REPLICATION_COUNTED_ROUNDS = 4
+#: The tracked replication counts are measured at this population size.
 REPLICATION_TRACKED_REPLICAS = 32
 REPLICATION_TRACKED_FAMILY = "version-stamp"
 
@@ -555,7 +555,7 @@ def _build_population(family, replicas, keys, *, seed=0):
     network = FullyConnectedNetwork()
     nodes = [
         MobileNode.first(
-            "n0", network, tracker_factory=KernelTracker.factory(family)
+            "n0", network, tracker_factory=kernel.family(family).factory
         )
     ]
     for index in range(1, replicas):
@@ -566,91 +566,62 @@ def _build_population(family, replicas, keys, *, seed=0):
     return nodes
 
 
-def _measure_sync_arm(family, replicas, *, batched, repeats, min_time):
-    """Steady-state gossip throughput of one engine mode.
+def _steady_state_counts(family, replicas):
+    """Stamps, messages and bytes per converged anti-entropy round.
 
     Builds a population, replicates every key everywhere during warm-up
-    rounds, then times further anti-entropy rounds.  In the steady state
-    no values move, so what is measured is exactly the cost of shipping,
-    decoding and comparing causal metadata -- the wire path this PR
-    optimizes.  Returns (rounds/sec, stamps per round, messages per
-    round, bytes per round).
+    rounds, then counts :data:`REPLICATION_COUNTED_ROUNDS` further rounds.
+    Seeded, so the counts are exact on any hardware.
     """
     import random
 
     nodes = _build_population(family, replicas, REPLICATION_KEYS)
-    engine = WireSyncEngine(batched=batched)
+    engine = WireSyncEngine()
     gossip = AntiEntropy(nodes, rng=random.Random(7), engine=engine)
     for _ in range(REPLICATION_WARMUP_ROUNDS):
         gossip.run_round()
     shipped_before = engine.stamps_shipped
     messages_before, bytes_before = engine.meter.snapshot()
-    rounds_before = len(gossip.reports)
-    rate = _best_rate(
-        gossip.run_round, 1, repeats=repeats, min_time=min_time
-    )
-    rounds = len(gossip.reports) - rounds_before
-    return (
-        rate,
-        (engine.stamps_shipped - shipped_before) / rounds,
-        (engine.meter.messages - messages_before) / rounds,
-        (engine.meter.bytes_sent - bytes_before) / rounds,
-    )
+    for _ in range(REPLICATION_COUNTED_ROUNDS):
+        gossip.run_round()
+    return {
+        "stamps_per_round": (engine.stamps_shipped - shipped_before)
+        / REPLICATION_COUNTED_ROUNDS,
+        "messages_per_round": (engine.meter.messages - messages_before)
+        / REPLICATION_COUNTED_ROUNDS,
+        "bytes_per_round": (engine.meter.bytes_sent - bytes_before)
+        / REPLICATION_COUNTED_ROUNDS,
+    }
 
 
-def measure_replication(replica_counts, *, repeats, min_time):
-    """Batched vs per-envelope anti-entropy for every clock family.
+def measure_replication(replica_counts):
+    """Steady-state anti-entropy traffic for every clock family.
 
-    Both arms run the identical merge logic over the identical population
-    shape; they differ only in wire framing (one stream per peer pair and
-    direction vs one envelope per stamp) and decode strategy (lazy,
-    interned frames vs individual envelope decodes).  The tracked values
-    are the version-stamp steady state's stamps and batched messages per
-    round at ``REPLICATION_TRACKED_REPLICAS`` replicas: seeded counts, so
-    they are exact on any hardware.
+    The tracked values are the version-stamp steady state's stamps and
+    messages per round at ``REPLICATION_TRACKED_REPLICAS`` replicas; the
+    section keeps the latter's committed name,
+    ``batched_messages_per_round``.
     """
     section = {
         "replica_counts": list(replica_counts),
         "keys": REPLICATION_KEYS,
         "warmup_rounds": REPLICATION_WARMUP_ROUNDS,
+        "counted_rounds": REPLICATION_COUNTED_ROUNDS,
         "tracked_family": REPLICATION_TRACKED_FAMILY,
         "tracked_replicas": REPLICATION_TRACKED_REPLICAS,
-        "families": {},
-    }
-    for family in kernel.families():
-        per_count = {}
-        for replicas in replica_counts:
-            batched_rate, stamps, b_messages, b_bytes = _measure_sync_arm(
-                family, replicas, batched=True,
-                repeats=repeats, min_time=min_time,
-            )
-            envelope_rate, _, e_messages, e_bytes = _measure_sync_arm(
-                family, replicas, batched=False,
-                repeats=repeats, min_time=min_time,
-            )
-            per_count[str(replicas)] = {
-                "batched_rounds_per_sec": batched_rate,
-                "per_envelope_rounds_per_sec": envelope_rate,
-                "speedup_batched_vs_per_envelope": (
-                    batched_rate / envelope_rate if envelope_rate else None
-                ),
-                "stamps_per_round": stamps,
-                "batched_stamps_per_sec": batched_rate * stamps,
-                "per_envelope_stamps_per_sec": envelope_rate * stamps,
-                "batched_messages_per_round": b_messages,
-                "per_envelope_messages_per_round": e_messages,
-                "batched_bytes_per_round": b_bytes,
-                "per_envelope_bytes_per_round": e_bytes,
+        "families": {
+            family: {
+                str(replicas): _steady_state_counts(family, replicas)
+                for replicas in replica_counts
             }
-        section["families"][family] = per_count
+            for family in kernel.families()
+        },
+    }
     tracked = section["families"][REPLICATION_TRACKED_FAMILY][
         str(REPLICATION_TRACKED_REPLICAS)
     ]
-    section["batched_vs_per_envelope"] = tracked[
-        "speedup_batched_vs_per_envelope"
-    ]
     section["stamps_per_round"] = tracked["stamps_per_round"]
-    section["batched_messages_per_round"] = tracked["batched_messages_per_round"]
+    section["batched_messages_per_round"] = tracked["messages_per_round"]
     return section
 
 
@@ -672,7 +643,7 @@ def _chaos_arm(loss):
     )
     nodes = [
         MobileNode.first(
-            "n0", transport, tracker_factory=KernelTracker.factory(CHAOS_FAMILY)
+            "n0", transport, tracker_factory=kernel.family(CHAOS_FAMILY).factory
         )
     ]
     for index in range(1, CHAOS_REPLICAS):
@@ -960,7 +931,7 @@ def _churn_elapsed(base, *, durable):
     import random
 
     network = FullyConnectedNetwork()
-    factory = KernelTracker.factory(DURABILITY_FAMILY)
+    factory = kernel.family(DURABILITY_FAMILY).factory
     if durable:
         store = StoreReplica(
             "n0", tracker_factory=factory,
@@ -1038,7 +1009,7 @@ def measure_contracts(*, repeats, min_time):
     observes and a bounded-freshness contract in the steady (passing)
     state -- the rate a store pays to evaluate contracts on every
     operation boundary.  The baseline arm times the single bare
-    ``stale_or_concurrent`` tracker comparison the checker wraps, on the
+    ``compare(...).shortfall`` clock comparison the checker wraps, on the
     same live observer forks; the tracked ratio ``check_vs_compare``
     divides the two per-comparison rates, so a drop means the dispatch,
     log-lookup and report machinery around the comparison got heavier.
@@ -1055,7 +1026,7 @@ def measure_contracts(*, repeats, min_time):
     from repro.replication import SyncHistory
 
     network = FullyConnectedNetwork()
-    factory = KernelTracker.factory(CONTRACTS_FAMILY)
+    factory = kernel.family(CONTRACTS_FAMILY).factory
     writer = MobileNode.first("writer", network, tracker_factory=factory)
     nodes = [writer] + [
         writer.spawn_peer(f"r{index}")
@@ -1099,7 +1070,7 @@ def measure_contracts(*, repeats, min_time):
     target = consumer.observe("k")
     record = writer.store.observe("k")
     compare_rate = _best_rate(
-        lambda: target.stale_or_concurrent(record), 1,
+        lambda: target.compare(record).shortfall, 1,
         repeats=repeats, min_time=min_time,
     )
 
@@ -1177,7 +1148,7 @@ def measure_durability(log_lengths, *, repeats, min_time):
         "recovery": {},
         "snapshot": {},
     }
-    factory = KernelTracker.factory(DURABILITY_FAMILY)
+    factory = kernel.family(DURABILITY_FAMILY).factory
     with tempfile.TemporaryDirectory(prefix="repro-bench-durability-") as root:
         for length in log_lengths:
             path = Path(root) / f"recover-{length}"
@@ -1205,7 +1176,7 @@ def measure_durability(log_lengths, *, repeats, min_time):
             path = Path(root) / f"snapshot-{family}"
             store = StoreReplica(
                 "bench",
-                tracker_factory=KernelTracker.factory(family),
+                tracker_factory=kernel.family(family).factory,
                 durable=True,
                 path=path,
             )
@@ -1259,9 +1230,7 @@ def snapshot(
     data["lockstep"] = measure_lockstep(repeats=repeats, min_time=min_time)
     data["reroot"] = measure_reroot(repeats=repeats, min_time=min_time)
     data["codec"] = measure_codec(frontier_sizes, repeats=repeats, min_time=min_time)
-    data["replication"] = measure_replication(
-        replica_counts, repeats=repeats, min_time=min_time
-    )
+    data["replication"] = measure_replication(replica_counts)
     data["chaos"] = measure_chaos()
     data["health"] = measure_health()
     data["scale"] = measure_scale()
@@ -1287,10 +1256,10 @@ def main(argv=None):
             "with and without the Section 7 re-rooting GC, speedup tracked), "
             "codec (kernel envelope encode/decode per clock family, with "
             "the envelope-vs-JSON roundtrip ratio tracked), and replication "
-            "(steady-state anti-entropy rounds/sec and stamps/sec per clock "
-            "family at 8-64 replicas, batched streams vs the per-envelope "
-            "baseline, with the version-stamp steady state's stamps and "
-            "messages per round at 32 replicas tracked), and chaos "
+            "(steady-state anti-entropy stamps, messages and bytes per round "
+            "per clock family at 8-64 replicas, counted, with the "
+            "version-stamp steady state's stamps and messages per round at "
+            "32 replicas tracked), and chaos "
             "(rounds-to-convergence and fault "
             "counters under a faulty transport at 0/10/30 percent loss, all "
             "deterministic seeded counts, with the clean-vs-10-percent "
@@ -1401,17 +1370,14 @@ def main(argv=None):
         widest = str(max(int(c) for c in counts))
         arm = counts[widest]
         print(
-            f"  sync {family:<16} @ {widest:>3} replicas: batched "
-            f"{arm['batched_rounds_per_sec']:,.0f} rounds/s "
-            f"({arm['batched_stamps_per_sec']:,.0f} stamps/s) vs "
-            f"per-envelope {arm['per_envelope_rounds_per_sec']:,.0f} rounds/s "
-            f"-> {arm['speedup_batched_vs_per_envelope']:.1f}x"
+            f"  sync {family:<16} @ {widest:>3} replicas: "
+            f"{arm['stamps_per_round']:g} stamps, "
+            f"{arm['messages_per_round']:g} messages, "
+            f"{arm['bytes_per_round']:,.0f} B per converged round"
         )
     print(
-        f"  sync batched vs per-envelope "
-        f"({replication['tracked_family']} @ "
+        f"  sync steady state ({replication['tracked_family']} @ "
         f"{replication['tracked_replicas']} replicas): "
-        f"{replication['batched_vs_per_envelope']:.1f}x, "
         f"{replication['stamps_per_round']:g} stamps and "
         f"{replication['batched_messages_per_round']:g} messages per round"
     )

@@ -381,7 +381,6 @@ def _cmd_contracts(args: argparse.Namespace) -> int:
         FaultPlan,
         FaultyTransport,
         FullyConnectedNetwork,
-        KernelTracker,
         MobileNode,
         NetworkMeter,
         SyncHistory,
@@ -395,7 +394,7 @@ def _cmd_contracts(args: argparse.Namespace) -> int:
     # includes A's latest export -- the observes contract can.
     network = FullyConnectedNetwork()
     pipeline_a = MobileNode.first(
-        "pipeline-a", network, tracker_factory=KernelTracker.factory(args.clock)
+        "pipeline-a", network, tracker_factory=kernel.family(args.clock).factory
     )
     relay = pipeline_a.spawn_peer("relay")
     pipeline_b = relay.spawn_peer("pipeline-b")

@@ -7,7 +7,7 @@ promised?".  Pipelines declare obligations as
 :class:`~repro.contracts.spec.ContractSpec` values, a
 :class:`~repro.contracts.checker.ContractChecker` evaluates them at
 operation boundaries through the family-generic
-:class:`~repro.replication.tracker.CausalityTracker` interface, and --
+:class:`~repro.kernel.protocol.CausalityClock` protocol, and --
 when the sync engine records a
 :class:`~repro.replication.history.SyncHistory` -- every violation
 carries a :class:`~repro.contracts.provenance.ProvenanceTrace` naming

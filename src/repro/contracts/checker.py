@@ -10,17 +10,16 @@ ContractSpec` declarations and two kinds of state:
 * *bindings* -- which store replica a target operation runs against,
   for the inline :meth:`scan` hook the gossip drivers call.
 
-Checking is family-generic by construction: the only questions ever
-asked of causal metadata are :meth:`~repro.replication.tracker.
-CausalityTracker.dominates` / :meth:`~repro.replication.tracker.
-CausalityTracker.stale_or_concurrent` and one
-:meth:`~repro.replication.tracker.CausalityTracker.compare` for mutual
-exclusion, so any registered kernel family (and the dynamic-VV
-baseline) enforces identically.
+Checking is family-generic by construction: the only question ever
+asked of causal metadata is the
+:meth:`~repro.kernel.protocol.CausalityClock.compare` of two clocks, read
+as :attr:`~repro.core.order.Ordering.shortfall` for dominance and as
+CONCURRENT for mutual exclusion, so any registered kernel family (and
+the dynamic-VV baseline) enforces identically.
 
 Epoch soundness
 ---------------
-Kernel trackers carry a re-rooting epoch, and clocks from different
+Kernel clocks carry a re-rooting epoch, and clocks from different
 epochs cannot be compared directly.  The checker resolves cross-epoch
 checks *without* comparing, using the compaction protocol's invariant
 (epoch bumps only happen at common knowledge -- see
@@ -47,14 +46,14 @@ paths that should have carried the knowledge and didn't.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Deque, Dict, Iterable, List, Optional, Tuple
 
 from ..core.errors import ContractError, ReplicationError
 from ..core.order import Ordering
+from ..kernel.protocol import CausalityClock
 from ..replication.history import SyncHistory
 from ..replication.store import StoreReplica
-from ..replication.tracker import CausalityTracker
 from .provenance import ProvenanceTrace, reconstruct
 from .spec import ContractKind, ContractSpec
 
@@ -73,8 +72,8 @@ class OperationRecord:
     operation: str
     key: str
     replica: str
-    tracker: CausalityTracker
-    epoch: Optional[int]
+    tracker: CausalityClock
+    epoch: int
     #: ``SyncHistory.next_seq`` at record time (None without a history) --
     #: the anchor provenance reconstruction replays from.
     seq: Optional[int]
@@ -279,7 +278,7 @@ class ContractChecker:
             key=key,
             replica=store.name,
             tracker=tracker,
-            epoch=getattr(tracker, "epoch", None),
+            epoch=tracker.epoch,
             seq=self.history.next_seq if self.history is not None else None,
             index=log.count + 1,
         )
@@ -395,24 +394,20 @@ class ContractChecker:
 
     def _target_tracker(
         self, spec: ContractSpec, store: StoreReplica
-    ) -> Optional[CausalityTracker]:
+    ) -> Optional[CausalityClock]:
         state = store._keys.get(spec.key)
         return state.tracker if state is not None else None
 
     def _relation(
-        self, target: CausalityTracker, record: OperationRecord
+        self, target: CausalityClock, record: OperationRecord
     ) -> Optional[str]:
         """How ``target`` fails to dominate the record, epoch-resolved."""
-        target_epoch = getattr(target, "epoch", None)
-        if (
-            target_epoch is not None
-            and record.epoch is not None
-            and target_epoch != record.epoch
-        ):
+        target_epoch = target.epoch
+        if target_epoch != record.epoch:
             # Cross-epoch: resolved by the compaction invariant (see the
             # module docstring), never by a direct compare.
             return None if target_epoch > record.epoch else "straggler"
-        return target.stale_or_concurrent(record.tracker)
+        return target.compare(record.tracker).shortfall
 
     def _check_dominance(
         self, spec: ContractSpec, store: StoreReplica, record: OperationRecord
@@ -479,12 +474,7 @@ class ContractChecker:
         target = self._target_tracker(spec, store)
         if target is None:
             return None
-        target_epoch = getattr(target, "epoch", None)
-        if (
-            target_epoch is not None
-            and record.epoch is not None
-            and target_epoch != record.epoch
-        ):
+        if target.epoch != record.epoch:
             # Cross-epoch states are ordered by the compaction invariant
             # (the newer epoch dominates), hence never concurrent.
             return None

@@ -4,8 +4,8 @@ A :class:`ContractSpec` states a causal obligation between two *named
 operations* over one store key -- "pipeline B's ``train`` must observe
 pipeline A's latest ``export`` of ``dataset``" -- without saying anything
 about which clock family tracks the key.  The checker evaluates the
-obligation purely through :class:`~repro.replication.tracker.
-CausalityTracker` comparisons, so one spec enforces identically over
+obligation purely through :class:`~repro.kernel.protocol.
+CausalityClock` comparisons, so one spec enforces identically over
 version stamps, ITC, dynamic version vectors or raw causal histories.
 
 Four contract kinds cover the stale-data failure modes SNIPPETS.md

@@ -19,7 +19,7 @@ simulation runner check that they agree.
 from __future__ import annotations
 
 import enum
-from typing import Callable, TypeVar
+from typing import Callable, Optional, TypeVar
 
 __all__ = ["Ordering", "ordering_from_leq", "ordering_from_sets"]
 
@@ -63,6 +63,20 @@ class Ordering(enum.Enum):
     def dominated(self) -> bool:
         """True when ``b`` has seen every update of ``a`` (EQUAL or BEFORE)."""
         return self in (Ordering.EQUAL, Ordering.BEFORE)
+
+    @property
+    def shortfall(self) -> Optional[str]:
+        """How ``a`` fails to dominate ``b``, if it does.
+
+        ``None`` when ``a`` dominates ``b``; ``"stale"`` when ``a`` is
+        strictly dominated (it has seen only a causal prefix of ``b``'s
+        updates); ``"concurrent"`` when each has seen an update the other
+        missed.  The contract checker reports it as *why* an ordering
+        contract failed.
+        """
+        if self is Ordering.EQUAL or self is Ordering.AFTER:
+            return None
+        return "stale" if self is Ordering.BEFORE else "concurrent"
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return self.value

@@ -28,9 +28,10 @@ The body of a key-state record::
 ``flags`` bit 0 is the store's ``independently_created`` marker; bit 1
 set means the key is *absent* (removed by a transactional rollback), in
 which case no values or tracker follow.  The tracker bytes are exactly
-what :meth:`~repro.replication.tracker.KernelTracker.to_bytes` ships on
-the wire -- the snapshot and the sync path share one codec, so durable
-state is proven canonical by the same tests that prove the wire format.
+what the key's clock's :meth:`~repro.kernel.clocks.KernelClock.to_bytes`
+ships on the wire -- the snapshot and the sync path share one codec, so
+durable state is proven canonical by the same tests that prove the wire
+format.
 
 Sequence numbers are issued monotonically by the journal; a snapshot
 records the highest sequence it covers, so replay after a compaction

@@ -33,6 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
+from .. import kernel
 from ..core.errors import LogCorrupt
 from ..kernel.stream import decode_stream
 from .log import DurableLog, TailDamage
@@ -79,7 +80,6 @@ def _rebuild_keys(log: DurableLog):
     """Replay snapshot + journal into ``{key: (values, clock-or-bytes,
     independent)}`` plus the bookkeeping the report needs."""
     from ..replication.store import KeyState
-    from ..replication.tracker import KernelTracker
 
     keys = {}
     snapshot_keys = 0
@@ -99,7 +99,7 @@ def _rebuild_keys(log: DurableLog):
             for index, record in enumerate(group.records):
                 keys[record.key] = KeyState(
                     values=[decode_value(value) for value in record.values],
-                    tracker=KernelTracker(stream[index]),
+                    tracker=stream[index],
                     independently_created=record.independently_created,
                 )
                 snapshot_keys += 1
@@ -124,7 +124,7 @@ def _rebuild_keys(log: DurableLog):
         else:
             keys[record.key] = KeyState(
                 values=[decode_value(value) for value in record.values],
-                tracker=KernelTracker.from_bytes(record.tracker),
+                tracker=kernel.from_bytes(record.tracker),
                 independently_created=record.independently_created,
             )
         replayed += 1
@@ -156,7 +156,6 @@ def rebuild(
     an empty store.
     """
     from ..replication.store import StoreReplica
-    from ..replication.tracker import KernelTracker
 
     keys, report = _rebuild_keys(log)
     if tracker_factory is None:
@@ -164,7 +163,7 @@ def rebuild(
         for state in keys.values():
             family = state.tracker.family
             break
-        tracker_factory = KernelTracker.factory(family)
+        tracker_factory = kernel.family(family).factory
     journal = StoreJournal(log, snapshot_every=snapshot_every)
     journal.next_seq = report.last_seq + 1
     store = StoreReplica(

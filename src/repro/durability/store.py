@@ -32,6 +32,7 @@ import os
 from typing import List, Optional, Tuple
 
 from ..core.errors import DurabilityError
+from ..kernel.clocks import KernelClock
 from ..kernel.stream import encode_stream
 from .log import DurableLog, FileDurableLog
 from .records import (
@@ -163,9 +164,9 @@ class StoreJournal:
         groups = {}
         for key in sorted(store._keys):
             state = store._keys[key]
-            clock = getattr(state.tracker, "clock", None)
-            if clock is None:
-                _tracker_bytes(key, state.tracker)  # raises the typed error
+            clock = state.tracker
+            if not isinstance(clock, KernelClock):
+                _tracker_bytes(key, clock)  # raises the typed error
             record = KeyRecord(
                 key=key,
                 present=True,

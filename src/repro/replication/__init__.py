@@ -3,12 +3,13 @@
 The paper targets update tracking for optimistic replication in mobile,
 partition-prone environments.  This subpackage builds that environment:
 
-* :mod:`~repro.replication.tracker` -- pluggable causality trackers: any
-  kernel clock family (version stamps by default), plus the
-  identifier-authority dynamic-version-vector baseline.
 * :mod:`~repro.replication.store` -- a multi-value key-value store replica
   with local writes, coordination-free forking and pairwise
-  synchronization.
+  synchronization.  Each key's causal metadata is a
+  :mod:`repro.kernel` clock of any family (version stamps by default); the
+  identifier-authority baseline
+  :class:`~repro.vv.dynamic_vv.DynamicVVTracker` forks but cannot sync or
+  journal.
 * :mod:`~repro.replication.conflict` -- conflict resolution policies.
 * :mod:`~repro.replication.network` -- simulated partitions and mobility.
 * :mod:`~repro.replication.faults` -- fault-injecting transport (loss,
@@ -25,6 +26,8 @@ survive crash-recover restarts (``MobileNode.restart(mode="recover")``);
 see that package for the log, snapshot and recovery machinery.
 """
 
+from .. import kernel
+from ..vv.dynamic_vv import DynamicVVTracker
 from .conflict import ConflictPolicy, KeepBoth, MergeWith, PreferNewest
 from .degradation import DegradationPlan, DegradationState
 from .faults import FaultPlan, FaultyTransport, RetryPolicy
@@ -50,10 +53,23 @@ from .synchronizer import (
     TransferEffect,
     WireSyncEngine,
 )
-from .tracker import CausalityTracker, DynamicVVTracker, KernelTracker
+
+
+class KernelTracker:
+    """A name kept for ``perfbench/``, which builds its stores with it.
+
+    ``KernelTracker.factory(family)`` is ``kernel.family(family).factory``,
+    the family's seed-clock constructor.  Everything else passes that
+    constructor as ``tracker_factory=`` directly; the alias goes once the
+    benchmark does too.
+    """
+
+    @staticmethod
+    def factory(family: str):
+        return kernel.family(family).factory
+
 
 __all__ = [
-    "CausalityTracker",
     "DynamicVVTracker",
     "KernelTracker",
     "StoreReplica",

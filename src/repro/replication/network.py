@@ -85,11 +85,11 @@ class NetworkMeter:
     """Message, byte and fault accounting for wire-level synchronization.
 
     The wire sync engine records every transfer it performs here, so
-    benchmarks and tests can compare framing strategies by their real
-    traffic: a batched anti-entropy round sends one stream per peer pair
-    and direction, a per-envelope round sends one message per stamp.
-    The meter keeps run totals only, so its size does not grow with the
-    number of peer pairs a run touches.
+    benchmarks and tests can read a sync's real traffic: a session sends
+    one digest message, then one stream per (family, epoch) group and
+    direction for the keys the digests left.  The meter keeps run totals
+    only, so its size does not grow with the number of peer pairs a run
+    touches.
 
     Under a fault-injecting transport (:mod:`repro.replication.faults`)
     the meter additionally tracks the fault economy of a run: how many

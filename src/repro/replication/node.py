@@ -13,10 +13,10 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Optional
 
 from ..core.errors import ReplicationError
+from ..kernel.clocks import VersionStampClock
 from .conflict import ConflictPolicy
 from .network import SimulatedNetwork
 from .store import MergeReport, StoreReplica
-from .tracker import KernelTracker
 
 __all__ = ["MobileNode", "replicas_agree"]
 
@@ -61,7 +61,7 @@ class MobileNode:
         node_id: str,
         network: SimulatedNetwork,
         *,
-        tracker_factory=KernelTracker.factory("version-stamp"),
+        tracker_factory=VersionStampClock,
         policy: Optional[ConflictPolicy] = None,
     ) -> "MobileNode":
         """Create the first node of a system (seed replica)."""

@@ -11,7 +11,9 @@ Design notes (how the store stays inside the paper's frontier model)
 ---------------------------------------------------------------------
 Version stamps order *coexisting* elements; comparing a live stamp against a
 stale snapshot from an earlier frontier is outside the model.  The store
-therefore keeps **one live tracker per key per replica** and only ever
+therefore keeps **one live tracker per key per replica** -- a
+:mod:`repro.kernel` clock, driven through the
+:class:`~repro.kernel.protocol.CausalityClock` operations -- and only ever
 compares the live trackers of the two replicas being synchronized:
 
 * a local ``put`` records an update on that key's tracker;
@@ -59,8 +61,9 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..core.errors import ReplicationError
 from ..core.order import Ordering
+from ..kernel.clocks import KernelClock, VersionStampClock
+from ..kernel.protocol import CausalityClock
 from .conflict import ConflictPolicy, KeepBoth
-from .tracker import CausalityTracker, KernelTracker
 
 __all__ = ["StoreReplica", "MergeReport", "KeyState", "FrameRejected"]
 
@@ -118,10 +121,15 @@ DIGEST_BYTES = 16
 
 @dataclass
 class KeyState:
-    """The live state of one key at one replica: sibling values + tracker."""
+    """The live state of one key at one replica: sibling values + tracker.
+
+    ``tracker`` is the key's clock: a kernel clock, or the
+    identifier-authority baseline's
+    :class:`~repro.vv.dynamic_vv.DynamicVVTracker`.
+    """
 
     values: List[object]
-    tracker: CausalityTracker
+    tracker: CausalityClock
     independently_created: bool = False
     #: ``(clock, values, digest)`` of the last :meth:`digest` call.
     _digest: Optional[tuple] = field(
@@ -135,7 +143,7 @@ class KeyState:
         KernelClock.knowledge_bytes`; the siblings enter as the sorted
         ``repr`` of each value.  Equal digests at two replicas mean, up to
         a 2^-128 collision, that the trackers compare EQUAL, so a sync of
-        the key would change nothing.  Requires a kernel tracker.
+        the key would change nothing.  Requires a kernel clock.
 
         Cached for as long as the state holds the same clock object and
         the same values list, both compared by identity.  Clocks are
@@ -143,7 +151,7 @@ class KeyState:
         no path has to invalidate the cache -- not even code that assigns
         ``tracker`` or ``_keys[...]`` directly.
         """
-        clock = self.tracker.clock
+        clock = self.tracker
         values = self.values
         cached = self._digest
         if cached is not None and cached[0] is clock and cached[1] is values:
@@ -171,18 +179,18 @@ class StoreReplica:
     name:
         Replica name used in logs and reports.
     tracker_factory:
-        Callable producing the causality tracker used for keys first created
-        at this replica; defaults to version-stamp trackers
-        (``KernelTracker.factory("version-stamp")``).
+        Callable producing the clock of keys first created at this
+        replica; defaults to :class:`~repro.kernel.clocks.VersionStampClock`
+        (``kernel.family(name).factory`` picks another family).
     policy:
         Conflict policy applied when concurrent versions of a key meet;
         defaults to keeping all siblings.
     durable:
         Open a journaled replica: every accepted mutation is persisted to
         the durable log at ``path`` so :meth:`recover` can rebuild the
-        replica after a crash.  Requires kernel trackers (the default, or
-        any ``KernelTracker.factory(<family>)``) -- the dynamic-VV
-        baseline has no canonical byte form.
+        replica after a crash.  Requires kernel clocks (the default, or
+        any ``kernel.family(name).factory``) -- the dynamic-VV baseline
+        has no canonical byte form.
     path:
         Location of the backing log (a directory for the file backend,
         a database file for SQLite).  Required with ``durable=True``.
@@ -205,7 +213,7 @@ class StoreReplica:
         self,
         name: str,
         *,
-        tracker_factory=KernelTracker.factory("version-stamp"),
+        tracker_factory=VersionStampClock,
         policy: Optional[ConflictPolicy] = None,
         durable: bool = False,
         path=None,
@@ -313,8 +321,8 @@ class StoreReplica:
             )
         return state.values[0]
 
-    def tracker_of(self, key: str) -> CausalityTracker:
-        """The live causality tracker of ``key`` at this replica."""
+    def tracker_of(self, key: str) -> CausalityClock:
+        """The live clock of ``key`` at this replica."""
         state = self._keys.get(key)
         if state is None:
             raise ReplicationError(f"key {key!r} is not stored on replica {self.name!r}")
@@ -330,7 +338,9 @@ class StoreReplica:
 
     def metadata_size_in_bits(self) -> int:
         """Encoded size of every causal tracker held by this replica."""
-        return sum(state.tracker.size_in_bits() for state in self._keys.values())
+        return sum(
+            state.tracker.encoded_size_bits() for state in self._keys.values()
+        )
 
     def __repr__(self) -> str:
         return f"StoreReplica({self.name!r}, keys={self.keys()})"
@@ -349,7 +359,7 @@ class StoreReplica:
             state = KeyState(values=[], tracker=self._tracker_factory(), independently_created=True)
             self._keys[key] = state
         state.values = [value]
-        state.tracker = state.tracker.updated()
+        state.tracker = state.tracker.event()
         if self.journal is not None:
             self._record(key)
             self.journal.flush()
@@ -366,7 +376,7 @@ class StoreReplica:
         """
         self._put_listeners.append(listener)
 
-    def observe(self, key: str) -> CausalityTracker:
+    def observe(self, key: str) -> CausalityClock:
         """Mint a live observer of ``key``'s current causal state.
 
         Forks the key's tracker: one half stays in the store, the other
@@ -389,7 +399,7 @@ class StoreReplica:
             raise ReplicationError(
                 f"key {key!r} is not stored on replica {self.name!r}"
             )
-        local, observer = state.tracker.forked()
+        local, observer = state.tracker.fork()
         state.tracker = local
         if self.journal is not None:
             self._record(key)
@@ -422,11 +432,18 @@ class StoreReplica:
         a journal or open it durable separately); the *parent's* re-seated
         trackers are journaled and flushed before the clone leaves this
         call, so a post-fork crash can never resurrect the pre-fork
-        identities the clone now co-owns.
+        identities the clone now co-owns.  ``connected=False`` models a
+        partition from the identifier authority: kernel clocks fork without
+        one, while the dynamic-VV baseline's fork is refused.
         """
         clone = StoreReplica(name, tracker_factory=self._tracker_factory, policy=self._policy)
         for key, state in self._keys.items():
-            mine, theirs = state.tracker.forked(connected=connected)
+            tracker = state.tracker
+            mine, theirs = (
+                tracker.fork()
+                if isinstance(tracker, KernelClock)
+                else tracker.fork(connected=connected)
+            )
             state.tracker = mine
             clone._keys[key] = KeyState(
                 values=list(state.values),
@@ -463,19 +480,15 @@ class StoreReplica:
         side's values wholesale and re-seats the straggler on a fresh fork
         of the newer tracker, instead of raising :class:`EpochMismatch`.
         """
-        my_epoch = getattr(mine.tracker, "epoch", None)
-        their_epoch = getattr(theirs.tracker, "epoch", None)
-        if (
-            my_epoch is not None
-            and their_epoch is not None
-            and my_epoch != their_epoch
-        ):
+        my_epoch = mine.tracker.epoch
+        their_epoch = theirs.tracker.epoch
+        if my_epoch != their_epoch:
             fresh, stale = (mine, theirs) if my_epoch > their_epoch else (theirs, mine)
             report.epoch_upgrades += 1
             report.values_dropped_stale += len(stale.values)
             stale.values = list(fresh.values)
             report.values_taken += len(fresh.values)
-            local, remote = fresh.tracker.forked()
+            local, remote = fresh.tracker.fork()
             fresh.tracker = local
             stale.tracker = remote
             mine.independently_created = False
@@ -509,12 +522,12 @@ class StoreReplica:
             # equivalent causal knowledge.
             return
 
-        joined = mine.tracker.joined(theirs.tracker)
+        joined = mine.tracker.join(theirs.tracker)
         if relation is Ordering.CONCURRENT and self._policy.collapses:
             # A resolved conflict is a new version that must dominate both
             # inputs in later comparisons with third replicas.
-            joined = joined.updated()
-        local, remote = joined.forked()
+            joined = joined.event()
+        local, remote = joined.fork()
         mine.tracker = local
         theirs.tracker = remote
         mine.independently_created = False

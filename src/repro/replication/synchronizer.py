@@ -29,12 +29,11 @@ and ``B`` is up to three transfers:
    the sorted sibling values), 16 bytes per key in one message.  A key
    whose digests match is *settled*: nothing about it is shipped,
    decoded, merged, snapshotted or journaled;
-2. *request* -- ``B`` ships the trackers of every other key it holds;
-   batched mode frames them as **one stream per (family, epoch) group**
-   (:mod:`repro.kernel.stream`), per-envelope mode as one envelope per
-   stamp.  ``A`` decodes them (lazily and through a shared
-   :class:`~repro.kernel.stream.InternTable` in batched mode) and runs
-   the store's per-key merge;
+2. *request* -- ``B`` ships the trackers of every other key it holds,
+   framed as **one stream per (family, epoch) group**
+   (:mod:`repro.kernel.stream`).  ``A`` decodes them lazily, through a
+   shared :class:`~repro.kernel.stream.InternTable`, and runs the store's
+   per-key merge;
 3. *response* -- ``A`` ships back only the trackers that changed, which
    ``B`` installs after decoding, so what a store holds after a wire sync
    has genuinely round-tripped the codec.
@@ -47,9 +46,8 @@ differs; with 128-bit digests its probability is at most n * 2^-128 over n
 key comparisons, and the key is repaired by the next session whose
 digests differ.  Causally EQUAL keys keep their trackers, so the steady
 state of anti-entropy -- most keys unchanged between rounds -- costs one
-16-byte digest per key and ships no stamps.  Both framings drive the
-identical merge logic, so they produce identical configurations -- a
-property test locks this in against the causal oracle.
+16-byte digest per key and ships no stamps.  A property test holds the
+engine's configurations to the causal oracle's.
 
 Degrading gracefully under faults
 ---------------------------------
@@ -105,15 +103,13 @@ from .. import kernel
 from ..core.errors import EncodingError, ReplicationError
 from ..core.order import Ordering
 from ..core.reroot import reroot_group
-from ..kernel.clocks import VersionStampClock
-from ..kernel.envelope import decode_envelope
-from ..kernel.stream import InternTable, decode_stream, encode_stream
+from ..kernel.clocks import KernelClock, VersionStampClock
+from ..kernel.stream import ClockStream, InternTable, decode_stream, encode_stream
 from .faults import FaultyTransport, RetryPolicy
 from .history import SyncHistory
 from .network import NetworkMeter
 from .node import MobileNode, replicas_agree
 from .store import DIGEST_BYTES, FrameRejected, KeyState, MergeReport, StoreReplica
-from .tracker import KernelTracker
 
 __all__ = [
     "RoundReport",
@@ -205,35 +201,14 @@ class RoundReport:
         self.epoch_upgrades += merge.epoch_upgrades
 
 
-class _LazyFrame:
-    """A not-yet-decoded stream frame (decoded on demand, intern-backed)."""
-
-    __slots__ = ("_stream", "_index")
-
-    def __init__(self, stream, index: int) -> None:
-        self._stream = stream
-        self._index = index
-
-    def get(self):
-        return self._stream[self._index]
-
-
-def _materialize(frame):
-    """The decoded clock behind ``frame`` (a clock or a lazy frame)."""
-    return frame.get() if type(frame) is _LazyFrame else frame
-
-
 class WireSyncEngine:
     """Pairwise store synchronization over the kernel wire formats.
 
+    Every leg ships one envelope stream per (family, epoch) group and
+    direction, decoded lazily through the shared :attr:`intern` table.
+
     Parameters
     ----------
-    batched:
-        ``True`` (default) ships one envelope stream per (family, epoch)
-        group and direction and decodes through a shared
-        :class:`~repro.kernel.stream.InternTable`; ``False`` is the
-        per-envelope baseline -- one self-describing envelope per stamp,
-        decoded individually.
     meter:
         The :class:`~repro.replication.network.NetworkMeter` recording
         messages, bytes and fault counters; a fresh one is created when
@@ -262,23 +237,19 @@ class WireSyncEngine:
         provenance reconstruction walks; without it the engine keeps the
         pre-existing transient reporting only.
 
-    Both modes run the identical merge logic
-    (:meth:`StoreReplica._merge_key_states`), so they produce identical
-    configurations; they differ only in framing and decode strategy.
+    Each key merges through :meth:`StoreReplica._merge_key_states`.
     Values move by reference -- this is a simulation -- but every piece
     of *causal metadata* a sync transfers crosses the codec boundary as
     real bytes, in both directions.
 
-    Only stores whose keys are tracked by
-    :class:`~repro.replication.tracker.KernelTracker` can sync over the
-    wire (the dynamic-VV baseline has no byte form); anything else raises
+    Only stores whose keys hold kernel clocks can sync over the wire (the
+    dynamic-VV baseline has no byte form); anything else raises
     :class:`~repro.core.errors.ReplicationError`.
     """
 
     def __init__(
         self,
         *,
-        batched: bool = True,
         meter: Optional[NetworkMeter] = None,
         transport: Optional[FaultyTransport] = None,
         retry: Optional[RetryPolicy] = None,
@@ -286,9 +257,8 @@ class WireSyncEngine:
         retry_seed: int = 0x5EED,
         history: Optional[SyncHistory] = None,
     ) -> None:
-        self.batched = batched
         self.meter = meter if meter is not None else NetworkMeter()
-        self.intern = InternTable() if batched else None
+        self.intern = InternTable()
         self.transport = transport
         self.retry = retry if retry is not None else RetryPolicy()
         self.verify_checksums = verify_checksums
@@ -316,15 +286,15 @@ class WireSyncEngine:
     _CRC_BYTES = 4
 
     @staticmethod
-    def _clock_of(store: StoreReplica, key: str, state: KeyState):
+    def _clock_of(store: StoreReplica, key: str, state: KeyState) -> KernelClock:
         tracker = state.tracker
-        if not isinstance(tracker, KernelTracker):
+        if not isinstance(tracker, KernelClock):
             raise ReplicationError(
                 f"wire sync needs kernel clock trackers; key {key!r} on "
                 f"replica {store.name!r} is tracked by "
                 f"{type(tracker).__name__}"
             )
-        return tracker.clock
+        return tracker
 
     # -- faulty delivery ---------------------------------------------------
 
@@ -443,34 +413,16 @@ class WireSyncEngine:
         """Transfer the trackers of ``items`` from sender to receiver.
 
         A sans-io generator (effects as in :meth:`_deliver_batch`) whose
-        *return value* is ``key -> (frame, group)`` on the receiving side:
-        the frame's clock is materialized lazily (a ``ClockStream`` index
-        access) when the merge reads it, and ``group`` is the frame's
-        ``(family, epoch)`` for rejection reports (``None`` per envelope).
-        One stream per (family, epoch) group in batched mode, one
-        envelope per stamp otherwise; either way the meter sees every
-        message and attempt.  Keys whose message exhausted the transport
-        retry budget are simply absent from the result -- the caller skips
-        them and a later round heals the difference.
+        *return value* is ``key -> (stream, index)`` on the receiving side:
+        the key's clock is frame ``index`` of a delivered
+        :class:`~repro.kernel.stream.ClockStream`, decoded lazily when the
+        merge reads it.  One stream per (family, epoch) group; the meter
+        sees every message and attempt.  Keys whose message exhausted the
+        transport retry budget are simply absent from the result -- the
+        caller skips them and a later round heals the difference.
         """
         self.stamps_shipped += len(items)
-        received: Dict[str, Tuple[object, object]] = {}
-        if not self.batched:
-            blobs = [
-                self._clock_of(sender, key, state).to_bytes()
-                for key, state in items
-            ]
-
-            def validate_envelope(index: int, body: bytes):
-                return decode_envelope(body)
-
-            results = yield from self._deliver_batch(
-                sender.name, receiver.name, blobs, validate_envelope
-            )
-            for index, (key, _) in enumerate(items):
-                if index in results:
-                    received[key] = (results[index], None)
-            return received
+        received: Dict[str, Tuple[ClockStream, int]] = {}
         groups: Dict[Tuple[str, int], List[Tuple[str, object]]] = {}
         for key, state in items:
             clock = self._clock_of(sender, key, state)
@@ -505,13 +457,12 @@ class WireSyncEngine:
         results = yield from self._deliver_batch(
             sender.name, receiver.name, blobs, validate_stream
         )
-        for index, ((family_name, epoch), members) in enumerate(ordered):
+        for index, (_, members) in enumerate(ordered):
             stream = results.get(index)
             if stream is None:
                 continue
-            group = (family_name, epoch)
             for frame_index, (key, _) in enumerate(members):
-                received[key] = (_LazyFrame(stream, frame_index), group)
+                received[key] = (stream, frame_index)
         return received
 
     # -- per-key transactionality ------------------------------------------
@@ -542,14 +493,17 @@ class WireSyncEngine:
 
     @staticmethod
     def _reject(
-        report: MergeReport, key: str, group, stage: str, error: Exception
+        report: MergeReport,
+        key: str,
+        stream: ClockStream,
+        stage: str,
+        error: Exception,
     ) -> None:
-        family_name, epoch = group if group is not None else ("unknown", -1)
         report.frames_rejected.append(
             FrameRejected(
                 key=key,
-                family=family_name,
-                epoch=epoch,
+                family=stream.family,
+                epoch=stream.epoch,
                 stage=stage,
                 reason=str(error),
             )
@@ -715,7 +669,7 @@ class WireSyncEngine:
 
         A sans-io generator (effects as in :meth:`_deliver_batch`).  The
         leg covers every key of ``keys`` that both sides hold with kernel
-        trackers and that neither side created independently.  ``first``
+        clocks and that neither side created independently.  ``first``
         ships each such key's :meth:`~repro.replication.store.KeyState.
         digest` as one message, 16 bytes per key in key order; the key
         list rides the session's out-of-band control data.  The return
@@ -733,8 +687,8 @@ class WireSyncEngine:
                 mine is not None
                 and theirs is not None
                 and not (mine.independently_created or theirs.independently_created)
-                and isinstance(mine.tracker, KernelTracker)
-                and isinstance(theirs.tracker, KernelTracker)
+                and isinstance(mine.tracker, KernelClock)
+                and isinstance(theirs.tracker, KernelClock)
             ):
                 shared.append((key, theirs))
                 digests.append(mine.digest())
@@ -808,7 +762,7 @@ class WireSyncEngine:
             if theirs is None:
                 # Replicate first -> second: fork the holder's tracker; the
                 # remote half rides the response leg to its new home.
-                local, remote = mine.tracker.forked()
+                local, remote = mine.tracker.fork()
                 mine.tracker = local
                 second._keys[key] = KeyState(values=list(mine.values), tracker=remote)
                 mine.independently_created = False
@@ -822,19 +776,19 @@ class WireSyncEngine:
                 # let a later round heal the difference.
                 request_lost.append(key)
                 continue
-            frame, group = received[key]
+            stream, index = received[key]
             try:
-                remote_clock = _materialize(frame)
+                remote_clock = stream[index]
             except EncodingError as error:
                 # One damaged frame costs this key this round, nothing
                 # more: the group's other frames and the sync's other
                 # keys proceed (and the intern table only ever admits
                 # successfully decoded clocks, so it is not poisoned).
-                self._reject(report, key, group, "request", error)
+                self._reject(report, key, stream, "request", error)
                 continue
             if mine is None:
                 # Replicate second -> first from the decoded wire copy.
-                local, remote = KernelTracker(remote_clock).forked()
+                local, remote = remote_clock.fork()
                 theirs.tracker = local
                 first._keys[key] = KeyState(values=list(theirs.values), tracker=remote)
                 theirs.independently_created = False
@@ -842,10 +796,9 @@ class WireSyncEngine:
                 report.values_taken += len(theirs.values)
                 changed.append(key)
                 continue
-            before = KernelTracker(remote_clock)
-            theirs.tracker = before
+            theirs.tracker = remote_clock
             first._merge_key_states(mine, theirs, report)
-            if theirs.tracker is not before:
+            if theirs.tracker is not remote_clock:
                 changed.append(key)
 
         # Response leg: only second-side trackers that changed go back.
@@ -865,12 +818,12 @@ class WireSyncEngine:
         for key in changed:
             entry = returned.get(key)
             if entry is not None:
-                frame, group = entry
+                stream, index = entry
                 try:
-                    second._keys[key].tracker = KernelTracker(_materialize(frame))
+                    second._keys[key].tracker = stream[index]
                     continue
                 except EncodingError as error:
-                    self._reject(report, key, group, "response", error)
+                    self._reject(report, key, stream, "response", error)
             # The response leg for this key was lost or damaged past the
             # retry budget.  Roll BOTH sides back to their pre-sync state:
             # completing only one half of a join/fork would strand freshly
@@ -887,9 +840,9 @@ class AntiEntropy:
     """Round-based gossip reconciliation over a node population.
 
     Every pairwise exchange runs on ``engine``, a :class:`WireSyncEngine`
-    (a fresh batched one when omitted), so each :class:`RoundReport`
-    carries the round's real message, byte and fault counts.  Pass an
-    engine to choose the framing, a faulty transport or a sync history.
+    (a fresh one when omitted), so each :class:`RoundReport` carries the
+    round's real message, byte and fault counts.  Pass an engine to choose
+    a faulty transport or a sync history.
 
     With ``compact_threshold_bits`` set, every round ends with a
     decentralized re-rooting sweep: any key whose causal metadata exceeds
@@ -1027,7 +980,7 @@ class AntiEntropy:
                 if key in seen:
                     continue
                 state = node.store._keys[key]
-                if state.tracker.size_in_bits() > threshold:
+                if state.tracker.encoded_size_bits() > threshold:
                     oversized.append(key)
                     seen.add(key)
         for key in oversized:
@@ -1039,13 +992,13 @@ class AntiEntropy:
     ) -> Optional[List[KeyState]]:
         """The holders' states of ``key`` when they share common knowledge.
 
-        That is: every holder still kernel-tracks the key, at one shared
-        epoch, with identical sibling values, and every pair of trackers
-        compares causally EQUAL.  Returns ``None`` otherwise.
+        That is: every holder still holds the key with a kernel clock, at
+        one shared epoch, with identical sibling values, and every pair of
+        trackers compares causally EQUAL.  Returns ``None`` otherwise.
         """
         states = [node.store._keys.get(key) for node in holders]
         if any(
-            state is None or not isinstance(state.tracker, KernelTracker)
+            state is None or not isinstance(state.tracker, KernelClock)
             for state in states
         ):
             return None
@@ -1113,10 +1066,10 @@ class AntiEntropy:
         if not holders:
             return False
         if not all(
-            isinstance(node.store._keys[key].tracker, KernelTracker)
+            isinstance(node.store._keys[key].tracker, KernelClock)
             for node in holders
         ):
-            # Epochs only exist for kernel-tracked stores; the dynamic-VV
+            # Epoch bumps re-root kernel clocks only; the dynamic-VV
             # baseline is never compacted.
             return False
         for node in holders:
@@ -1134,7 +1087,7 @@ class AntiEntropy:
             if states is None:
                 return False
         new_epoch = states[0].tracker.epoch + 1
-        clocks = [state.tracker.clock for state in states]
+        clocks = [state.tracker for state in states]
         family_name = clocks[0].family
         if family_name == "version-stamp":
             stamps = reroot_group([clock.stamp for clock in clocks])
@@ -1149,7 +1102,7 @@ class AntiEntropy:
                 queue.extend((left, right))
             fresh = queue
         for node, state, clock in zip(holders, states, fresh):
-            state.tracker = KernelTracker(clock)
+            state.tracker = clock
             state.independently_created = False
             store = node.store
             if store.journal is not None:

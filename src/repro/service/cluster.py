@@ -36,6 +36,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
+from .. import kernel
 from ..core.errors import SessionTimeout
 from ..replication.degradation import DegradationState
 from ..replication.network import (
@@ -47,7 +48,6 @@ from ..replication.network import (
 from ..replication.node import MobileNode, replicas_agree
 from ..replication.store import MergeReport
 from ..replication.synchronizer import WireSyncEngine
-from ..replication.tracker import KernelTracker
 from .engine import AsyncWireSyncEngine
 from .health import HealthConfig, HealthMonitor
 from .interpreter import Interpreter, Job
@@ -287,7 +287,7 @@ def build_cluster(
     if network is None:
         network = FullyConnectedNetwork()
     nodes = [
-        MobileNode.first("n0", network, tracker_factory=KernelTracker.factory(family))
+        MobileNode.first("n0", network, tracker_factory=kernel.family(family).factory)
     ]
     for index in range(1, replicas):
         nodes.append(nodes[-1].spawn_peer(f"n{index}"))

@@ -14,7 +14,9 @@ benchmarks can measure vector growth with and without retirement compaction.
 
 The element-level API (:class:`DynamicVVElement`) mirrors the fork/join/update
 calculus used by the rest of the library so the lockstep runner can drive it
-from the same traces as version stamps.
+from the same traces as version stamps.  :class:`DynamicVVTracker` puts the
+element behind the kernel clock protocol as a store's per-key clock, with a
+fork that can fail.
 """
 
 from __future__ import annotations
@@ -22,12 +24,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
-from ..core.errors import ReplicationError
+from ..core.errors import DurabilityError, ReplicationError
 from ..core.order import Ordering
 from .id_source import IdAllocationError, IdSource, CentralIdSource
 from .version_vector import VersionVector
 
-__all__ = ["DynamicVVElement", "DynamicVVSystem"]
+__all__ = ["DynamicVVElement", "DynamicVVSystem", "DynamicVVTracker"]
 
 
 @dataclass(frozen=True)
@@ -66,6 +68,74 @@ class DynamicVVElement:
         return id_bits + self.vector.size_in_bits(
             id_bits=id_bits, counter_bits=counter_bits
         )
+
+
+class DynamicVVTracker:
+    """The identifier-authority baseline as a store's per-key clock.
+
+    Speaks the kernel's :class:`~repro.kernel.protocol.CausalityClock`
+    operations (``event``, ``fork``, ``join``, ``compare``,
+    ``encoded_size_bits``) over a :class:`DynamicVVElement`, but every fork
+    draws a fresh replica identifier from the shared :class:`IdSource`.
+    With a central source, ``fork(connected=False)`` raises
+    :class:`IdAllocationError`: the limitation the paper's mechanism
+    removes.  It has no byte form, so a store built on it can neither sync
+    over the wire nor journal; SYNC-identity and
+    ``examples/mobile_sync.py`` measure its forks failing.
+    """
+
+    #: Not a registered kernel family: no envelope can carry it.
+    family = "dynamic-vv-baseline"
+    #: The baseline is never re-rooted.
+    epoch = 0
+
+    __slots__ = ("element", "id_source")
+
+    def __init__(
+        self,
+        element: Optional[DynamicVVElement] = None,
+        *,
+        id_source: Optional[IdSource] = None,
+    ) -> None:
+        self.id_source = id_source if id_source is not None else CentralIdSource()
+        if element is None:
+            element = DynamicVVElement(self.id_source.allocate(), VersionVector())
+        self.element = element
+
+    def event(self) -> "DynamicVVTracker":
+        return DynamicVVTracker(self.element.update(), id_source=self.id_source)
+
+    def fork(self, *, connected: bool = True) -> Tuple["DynamicVVTracker", "DynamicVVTracker"]:
+        """Keep this identity and allocate a fresh one for the new replica."""
+        new_id = self.id_source.allocate(connected=connected)
+        left = DynamicVVTracker(self.element, id_source=self.id_source)
+        right = DynamicVVElement(new_id, self.element.vector)
+        return left, DynamicVVTracker(right, id_source=self.id_source)
+
+    def join(self, other: "DynamicVVTracker") -> "DynamicVVTracker":
+        if not isinstance(other, DynamicVVTracker):
+            raise TypeError("cannot join trackers of different kinds")
+        return DynamicVVTracker(
+            self.element.merge_from(other.element), id_source=self.id_source
+        )
+
+    def compare(self, other: "DynamicVVTracker") -> Ordering:
+        if not isinstance(other, DynamicVVTracker):
+            raise TypeError("cannot compare trackers of different kinds")
+        return self.element.compare(other.element)
+
+    def encoded_size_bits(self) -> int:
+        return self.element.size_in_bits()
+
+    def to_bytes(self) -> bytes:
+        """Always raises: the baseline has no canonical byte form."""
+        raise DurabilityError(
+            "DynamicVVTracker has no canonical byte form; wire sync and "
+            "durable stores need a kernel clock (kernel.family(<name>).factory)"
+        )
+
+    def __repr__(self) -> str:
+        return f"DynamicVVTracker({self.element!r})"
 
 
 class DynamicVVSystem:

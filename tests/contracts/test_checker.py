@@ -10,6 +10,7 @@ import random
 
 import pytest
 
+from repro import kernel
 from repro.contracts import (
     ContractChecker,
     ContractSpec,
@@ -18,7 +19,6 @@ from repro.contracts import (
 from repro.core.errors import ContractError
 from repro.replication import (
     AntiEntropy,
-    KernelTracker,
     MobileNode,
     SyncHistory,
     WireSyncEngine,
@@ -31,7 +31,7 @@ FAMILIES = ["version-stamp", "itc", "vv-dynamic", "causal-history"]
 def _population(family, count=2, *, history=None):
     network = FullyConnectedNetwork()
     first = MobileNode.first(
-        "n0", network, tracker_factory=KernelTracker.factory(family)
+        "n0", network, tracker_factory=kernel.family(family).factory
     )
     nodes = [first] + [first.spawn_peer(f"n{i}") for i in range(1, count)]
     engine = WireSyncEngine(history=history)
@@ -443,7 +443,7 @@ class TestCheckerApi:
 
         network = PartitionedNetwork()
         first = MobileNode.first(
-            "n0", network, tracker_factory=KernelTracker.factory("version-stamp")
+            "n0", network, tracker_factory=kernel.family("version-stamp").factory
         )
         nodes = [first, first.spawn_peer("n1")]
         history = SyncHistory()

@@ -29,12 +29,12 @@ import random
 
 import pytest
 
+from repro import kernel
 from repro.contracts import ContractChecker, ContractSpec
 from repro.replication import (
     AntiEntropy,
     FaultPlan,
     FaultyTransport,
-    KernelTracker,
     MobileNode,
     RetryPolicy,
     SyncHistory,
@@ -65,7 +65,7 @@ def _run_soak(family, loss, rounds, seed):
         history=history, transport=transport, retry=RetryPolicy(attempts=4)
     )
     writer = MobileNode.first(
-        "writer", network, tracker_factory=KernelTracker.factory(family)
+        "writer", network, tracker_factory=kernel.family(family).factory
     )
     nodes = [writer] + [writer.spawn_peer(f"r{i}") for i in range(3)]
     consumer = nodes[-1].store

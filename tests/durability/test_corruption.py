@@ -32,7 +32,6 @@ from repro.durability.recovery import recover_replica
 from repro.durability.store import StoreJournal, open_log
 from repro.kernel.stream import encode_stream
 from repro.replication.store import StoreReplica
-from repro.replication.tracker import KernelTracker
 
 FAMILIES = kernel.families()
 
@@ -40,7 +39,7 @@ FAMILIES = kernel.families()
 def build_store(path, family="version-stamp", puts=6):
     store = StoreReplica(
         "a",
-        tracker_factory=KernelTracker.factory(family),
+        tracker_factory=kernel.family(family).factory,
         durable=True,
         path=path,
     )
@@ -76,7 +75,7 @@ def test_bit_flip_in_journal_never_silently_corrupts(tmp_path_factory, family, b
     # key round-trips through its canonical codec.
     for key in store.keys():
         tracker = store.tracker_of(key)
-        assert KernelTracker.from_bytes(tracker.to_bytes()).to_bytes() == tracker.to_bytes()
+        assert kernel.from_bytes(tracker.to_bytes()).to_bytes() == tracker.to_bytes()
     assert report.records_replayed + report.records_skipped <= 6
     store.journal.close()
 
@@ -143,7 +142,7 @@ def test_damaged_snapshot_blocks_recovery_with_typed_error(tmp_path):
     path = tmp_path / "store"
     store = StoreReplica(
         "a",
-        tracker_factory=KernelTracker.factory("vv-dynamic"),
+        tracker_factory=kernel.family("vv-dynamic").factory,
         durable=True,
         path=path,
     )
@@ -164,7 +163,7 @@ def test_sqlite_torn_blob_recovers_prefix(tmp_path):
     journal = StoreJournal(log)
     store = StoreReplica(
         "a",
-        tracker_factory=KernelTracker.factory("causal-history"),
+        tracker_factory=kernel.family("causal-history").factory,
         journal=journal,
     )
     store.put("k", 1)

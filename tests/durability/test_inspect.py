@@ -15,13 +15,14 @@ import sqlite3
 
 import pytest
 
+from repro import kernel
 from repro.cli import main
 from repro.core.errors import DurabilityError
 from repro.durability.inspect import format_report, inspect_path
 from repro.durability.log import FileDurableLog
 from repro.durability.records import KIND_CLEAR, encode_record
 from repro.durability.store import SQLITE_FILENAME, open_log
-from repro.replication import KernelTracker, StoreReplica
+from repro.replication import StoreReplica
 
 BACKENDS = ("file", "sqlite")
 
@@ -36,7 +37,7 @@ def build_store(tmp_path, backend, family="version-stamp"):
     path.mkdir()
     store = StoreReplica(
         "n0",
-        tracker_factory=KernelTracker.factory(family),
+        tracker_factory=kernel.family(family).factory,
         durable=True,
         path=path,
         backend=backend,

@@ -20,7 +20,7 @@ from repro.replication.network import PartitionedNetwork
 from repro.replication.node import MobileNode
 from repro.replication.store import StoreReplica
 from repro.replication.synchronizer import AntiEntropy, WireSyncEngine
-from repro.replication.tracker import DynamicVVTracker, KernelTracker
+from repro.replication import DynamicVVTracker
 
 FAMILIES = kernel.families()
 BACKENDS = ("file", "sqlite")
@@ -48,7 +48,7 @@ def assert_lockstep_equal(recovered, original):
 def durable_store(tmp_path, family, backend, name="a", **kwargs):
     return StoreReplica(
         name,
-        tracker_factory=KernelTracker.factory(family),
+        tracker_factory=kernel.family(family).factory,
         durable=True,
         path=tmp_path / f"{name}-{family}-{backend}",
         backend=backend,
@@ -68,7 +68,7 @@ def recover_same(store, tmp_path, family, backend, name="a"):
 class TestRecoveryEquality:
     def test_puts_and_wire_syncs_recover_exactly(self, tmp_path, family, backend):
         a = durable_store(tmp_path, family, backend)
-        b = StoreReplica("b", tracker_factory=KernelTracker.factory(family))
+        b = StoreReplica("b", tracker_factory=kernel.family(family).factory)
         engine = WireSyncEngine()
         a.put("x", 1)
         a.put("y", {"nested": [1, 2]})
@@ -138,7 +138,7 @@ class TestRecoveryEquality:
         before = store_fingerprint(a)
         # Bypass put()'s flush to model a crash inside the window.
         a._keys["k"].values = ["volatile"]
-        a._keys["k"].tracker = a._keys["k"].tracker.updated()
+        a._keys["k"].tracker = a._keys["k"].tracker.event()
         a.journal.record_key("k", a._keys["k"])
         a.journal.simulate_crash()
         recovered, report = StoreReplica.recover(
@@ -177,11 +177,11 @@ class TestMidSyncCrash:
     def test_mid_sync_crash_recovers_pre_sync_state(self, tmp_path, family):
         a = StoreReplica(
             "a",
-            tracker_factory=KernelTracker.factory(family),
+            tracker_factory=kernel.family(family).factory,
             durable=True,
             path=tmp_path / "a",
         )
-        b = StoreReplica("b", tracker_factory=KernelTracker.factory(family))
+        b = StoreReplica("b", tracker_factory=kernel.family(family).factory)
         engine = WireSyncEngine()
         a.put("x", 1)
         b.put("y", 2)
@@ -301,7 +301,7 @@ def test_node_recover_restart_mode(tmp_path, family):
     network = PartitionedNetwork()
     store = StoreReplica(
         "n0",
-        tracker_factory=KernelTracker.factory(family),
+        tracker_factory=kernel.family(family).factory,
         durable=True,
         path=tmp_path / "n0",
     )
@@ -348,7 +348,7 @@ def test_rejoin_empty_journals_the_clear(tmp_path):
     network = PartitionedNetwork()
     store = StoreReplica(
         "n0",
-        tracker_factory=KernelTracker.factory("version-stamp"),
+        tracker_factory=kernel.family("version-stamp").factory,
         durable=True,
         path=tmp_path / "n0",
     )
@@ -366,7 +366,7 @@ def test_antientropy_restart_uses_plan_mode(tmp_path):
     network = PartitionedNetwork()
     store = StoreReplica(
         "n0",
-        tracker_factory=KernelTracker.factory("itc"),
+        tracker_factory=kernel.family("itc").factory,
         durable=True,
         path=tmp_path / "n0",
     )
@@ -410,7 +410,7 @@ def test_rebuild_infers_family_from_recovered_state(tmp_path):
     log = open_log(tmp_path / "s")
     store = StoreReplica(
         "a",
-        tracker_factory=KernelTracker.factory("causal-history"),
+        tracker_factory=kernel.family("causal-history").factory,
         journal=StoreJournal(log),
     )
     store.put("k", "v")

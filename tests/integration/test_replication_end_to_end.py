@@ -21,7 +21,7 @@ from repro.replication.network import (
 from repro.replication.node import MobileNode
 from repro.replication.store import StoreReplica
 from repro.replication.synchronizer import AntiEntropy
-from repro.replication.tracker import DynamicVVTracker
+from repro.replication import DynamicVVTracker
 from repro.vv.id_source import CentralIdSource, IdAllocationError
 
 

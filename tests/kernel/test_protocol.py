@@ -14,7 +14,7 @@ from repro.analysis.sizes import kernel_family_matrix, measure_trace_sizes
 from repro.core.errors import EpochMismatch
 from repro.core.order import Ordering
 from repro.kernel import CausalityClock, KernelClockAdapter, kernel_adapters
-from repro.replication import KernelTracker, MergeWith, StoreReplica
+from repro.replication import MergeWith, StoreReplica
 from repro.sim.runner import LockstepRunner
 from repro.sim.workload import churn_trace, random_dynamic_trace
 from repro.testing import trace_operations
@@ -121,7 +121,7 @@ class TestReplicationOverTheProtocol:
     def test_replica_scenario_runs_over_any_family(self, family):
         origin = StoreReplica(
             "origin",
-            tracker_factory=KernelTracker.factory(family),
+            tracker_factory=kernel.family(family).factory,
             policy=MergeWith(lambda values: "".join(sorted(values))),
         )
         origin.put("k", "v1")
@@ -141,9 +141,9 @@ class TestReplicationOverTheProtocol:
         assert origin.metadata_size_in_bits() > 0
 
     def test_tracker_round_trips_through_the_envelope(self, family):
-        tracker = KernelTracker(family=family).updated()
-        restored = KernelTracker.from_bytes(tracker.to_bytes())
-        assert restored.clock == tracker.clock
+        tracker = kernel.make(family).event()
+        restored = kernel.from_bytes(tracker.to_bytes())
+        assert restored == tracker
         assert restored.family == family
 
 

@@ -33,11 +33,11 @@ import random
 
 import pytest
 
+from repro import kernel
 from repro.replication import (
     AntiEntropy,
     FaultPlan,
     FaultyTransport,
-    KernelTracker,
     MobileNode,
     RetryPolicy,
     WireSyncEngine,
@@ -61,7 +61,7 @@ def _build(family, loss, seed):
     transport = FaultyTransport(network, plan=plan, seed=seed)
     engine = WireSyncEngine(transport=transport, retry=RetryPolicy(attempts=6))
     first = MobileNode.first(
-        CORE[0], transport, tracker_factory=KernelTracker.factory(family)
+        CORE[0], transport, tracker_factory=kernel.family(family).factory
     )
     nodes = [first] + [
         first.spawn_peer(name) for name in CORE[1:] + CHURN
@@ -179,7 +179,7 @@ def _run_soak(family, *, steps, loss, seed):
         for key in KEYS:
             if any(
                 key in node.store.keys()
-                and node.store.tracker_of(key).size_in_bits()
+                and node.store.tracker_of(key).encoded_size_bits()
                 > COMPACT_THRESHOLD_BITS
                 for node in majority
             ):

@@ -18,11 +18,11 @@ re-rooted.
 
 import pytest
 
+from repro import kernel
 from repro.core.order import Ordering
 from repro.replication import (
     AntiEntropy,
     FullyConnectedNetwork,
-    KernelTracker,
     MobileNode,
     WireSyncEngine,
 )
@@ -33,7 +33,7 @@ FAMILIES = ["version-stamp", "itc", "vv-dynamic", "causal-history"]
 def _agreeing(family, count):
     """One writer plus forks: every holder shares the writer's knowledge."""
     writer = MobileNode.first(
-        "n0", FullyConnectedNetwork(), tracker_factory=KernelTracker.factory(family)
+        "n0", FullyConnectedNetwork(), tracker_factory=kernel.family(family).factory
     )
     writer.write("k", "v")
     nodes = [writer]
@@ -51,7 +51,7 @@ def _equal_but_different(family, sync):
     the same knowledge.
     """
     w1 = MobileNode.first(
-        "w1", FullyConnectedNetwork(), tracker_factory=KernelTracker.factory(family)
+        "w1", FullyConnectedNetwork(), tracker_factory=kernel.family(family).factory
     )
     w1.write("k", "seed")
     w2, p, q = (w1.spawn_peer(name) for name in ("w2", "p", "q"))

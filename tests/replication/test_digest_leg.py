@@ -10,7 +10,6 @@ import pytest
 
 from repro import kernel
 from repro.replication import (
-    KernelTracker,
     RetryPolicy,
     StoreReplica,
     SyncHistory,
@@ -33,7 +32,7 @@ def _store_bytes(store):
 
 def _pair(family, tmp_path=None, keys=4):
     """Two stores holding ``keys`` keys, synced, then one key rewritten."""
-    factory = KernelTracker.factory(family)
+    factory = kernel.family(family).factory
     durable = tmp_path is not None
     first = StoreReplica(
         "a", tracker_factory=factory, durable=durable,
@@ -95,14 +94,14 @@ def test_no_digest_leg_without_a_key_on_both_sides():
 
 
 def test_the_digest_cache_follows_clock_and_values_identity():
-    state = KeyState(values=[1], tracker=KernelTracker(family="itc"))
+    state = KeyState(values=[1], tracker=kernel.make("itc"))
     digest = state.digest()
     assert state.digest() is digest
     state.values = [1]  # an equal but new list: recomputed, same digest
     assert state.digest() == digest
     state.values = [2]
     assert state.digest() != digest
-    state.tracker = state.tracker.updated()
+    state.tracker = state.tracker.event()
     assert state.digest() != digest
 
 
@@ -134,7 +133,7 @@ def test_a_planted_collision_changes_nothing_and_an_honest_session_repairs(
 def test_a_lost_digest_leg_leaves_both_sides_untouched(family):
     first, second = _pair(family)
     # first also holds a key second lacks: it stays unreplicated too.
-    first._keys["only-a"] = KeyState(values=["x"], tracker=KernelTracker(family=family))
+    first._keys["only-a"] = KeyState(values=["x"], tracker=kernel.make(family))
     before = (_store_bytes(first), _store_bytes(second))
     history = SyncHistory()
     transport = _LosingTransport()

@@ -12,13 +12,13 @@ import random
 
 import pytest
 
+from repro import kernel
 from repro.core.errors import FaultInjectionError
 from repro.core.order import Ordering
 from repro.replication import (
     AntiEntropy,
     FaultPlan,
     FaultyTransport,
-    KernelTracker,
     MobileNode,
     RetryPolicy,
     WireSyncEngine,
@@ -34,7 +34,7 @@ FAMILIES = ["version-stamp", "itc", "vv-dynamic", "causal-history"]
 
 def _population(family, count, network, *, seed=0):
     first = MobileNode.first(
-        "n0", network, tracker_factory=KernelTracker.factory(family)
+        "n0", network, tracker_factory=kernel.family(family).factory
     )
     nodes = [first]
     for index in range(1, count):
@@ -485,11 +485,11 @@ class TestEpochGossipUpgrade:
         gossip.run(4)
         assert gossip.converged()
         bits_before = sum(
-            node.store.tracker_of("k").size_in_bits() for node in nodes
+            node.store.tracker_of("k").encoded_size_bits() for node in nodes
         )
         assert gossip.compact_key("k")
         bits_after = sum(
-            node.store.tracker_of("k").size_in_bits() for node in nodes
+            node.store.tracker_of("k").encoded_size_bits() for node in nodes
         )
         if family != "itc":
             # ITC stays naturally compact; the other families shed the

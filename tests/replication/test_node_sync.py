@@ -9,13 +9,13 @@ from repro.core.errors import ReplicationError
 from repro.replication.network import FullyConnectedNetwork, PartitionedNetwork
 from repro.replication.node import MobileNode, replicas_agree
 from repro.replication.synchronizer import AntiEntropy, WireSyncEngine
-from repro.replication.tracker import DynamicVVTracker, KernelTracker
+from repro.replication import DynamicVVTracker
 
 
 def _population(network, count=4, family="version-stamp"):
     """Build ``count`` nodes forked from a single seed node."""
     first = MobileNode.first(
-        "n0", network, tracker_factory=KernelTracker.factory(family)
+        "n0", network, tracker_factory=kernel.family(family).factory
     )
     nodes = [first]
     for index in range(1, count):

@@ -29,12 +29,12 @@ import random
 
 import pytest
 
+from repro import kernel
 from repro.durability.store import StoreJournal, open_log
 from repro.replication import (
     AntiEntropy,
     FaultPlan,
     FaultyTransport,
-    KernelTracker,
     MobileNode,
     RetryPolicy,
     WireSyncEngine,
@@ -62,7 +62,7 @@ def _build(family, loss, seed, tmp_path):
     transport = FaultyTransport(network, plan=plan, seed=seed)
     engine = WireSyncEngine(transport=transport, retry=RetryPolicy(attempts=6))
     first = MobileNode.first(
-        CORE[0], transport, tracker_factory=KernelTracker.factory(family)
+        CORE[0], transport, tracker_factory=kernel.family(family).factory
     )
     nodes = [first] + [first.spawn_peer(name) for name in CORE[1:] + CHURN]
     for node in nodes:
@@ -177,7 +177,7 @@ def _run_soak(family, *, steps, loss, seed, tmp_path):
         for key in KEYS:
             if any(
                 key in node.store.keys()
-                and node.store.tracker_of(key).size_in_bits()
+                and node.store.tracker_of(key).encoded_size_bits()
                 > COMPACT_THRESHOLD_BITS
                 for node in majority
             ):

@@ -2,11 +2,11 @@
 
 import pytest
 
+from repro import kernel
 from repro.core.errors import ReplicationError
 from repro.core.order import Ordering
 from repro.replication.conflict import KeepBoth, MergeWith, PreferNewest
 from repro.replication.store import StoreReplica
-from repro.replication.tracker import KernelTracker
 
 
 class TestLocalOperation:
@@ -184,7 +184,7 @@ class TestReconciliation:
         "family", ["version-stamp", "itc", "vv-dynamic", "causal-history"]
     )
     def test_works_with_every_kernel_family(self, family):
-        origin = StoreReplica("origin", tracker_factory=KernelTracker.factory(family))
+        origin = StoreReplica("origin", tracker_factory=kernel.family(family).factory)
         origin.put("k", "v1")
         clone = origin.fork("clone")
         origin.put("k", "v2")

@@ -9,12 +9,12 @@ import random
 
 import pytest
 
+from repro import kernel
 from repro.core.errors import ReplicationError
 from repro.replication import (
     AntiEntropy,
     FaultPlan,
     FaultyTransport,
-    KernelTracker,
     MobileNode,
     RetryPolicy,
     SyncHistory,
@@ -26,7 +26,7 @@ from repro.replication.network import FullyConnectedNetwork
 def _two_nodes(family="version-stamp"):
     network = FullyConnectedNetwork()
     first = MobileNode.first(
-        "a", network, tracker_factory=KernelTracker.factory(family)
+        "a", network, tracker_factory=kernel.family(family).factory
     )
     return first, first.spawn_peer("b")
 
@@ -123,7 +123,7 @@ def test_history_bound_holds_over_2000_step_soak(family):
         history=history, transport=transport, retry=RetryPolicy(attempts=3)
     )
     first = MobileNode.first(
-        "n0", network, tracker_factory=KernelTracker.factory(family)
+        "n0", network, tracker_factory=kernel.family(family).factory
     )
     nodes = [first] + [first.spawn_peer(f"n{i}") for i in range(1, 4)]
     # Auto-compaction keeps version-stamp metadata wire-encodable over a

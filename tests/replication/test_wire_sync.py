@@ -1,21 +1,19 @@
-"""The wire sync engine: batched streams vs per-envelope, proven equivalent.
+"""The wire sync engine, held to the causal oracle.
 
 The contract under test:
 
-* **Lockstep**: for every clock family, a scripted anti-entropy scenario
+* **Oracle**: for every clock family, a scripted anti-entropy scenario
   (writes interleaved with gossip rounds, including genuine write
-  conflicts) produces *identical* store configurations whether the engine
-  batches (streams + intern table) or ships one
-  envelope per stamp -- and both match the configuration the
-  causal-history oracle family produces for the same scenario, so the
-  batching layer cannot change what replication converges to.
+  conflicts) produces the store configuration the causal-history oracle
+  family produces for the same scenario, so the wire layer cannot change
+  what replication converges to.
 * Default gossip (no ``engine=``) runs a fresh wire engine: it does the
   same work and reaches the same state as an explicit one.
 * Every stamp a sync moves really crosses the codec (meter accounting:
-  a session's digest leg is one message, then batched legs send one
-  stream per direction and per-envelope legs one message per stamp).
-* Only kernel-tracked stores can sync over the wire; anything else is a
-  typed :class:`~repro.core.errors.ReplicationError`.
+  a session's digest leg is one message, then each leg sends one stream
+  per direction).
+* Only stores holding kernel clocks can sync over the wire; anything else
+  is a typed :class:`~repro.core.errors.ReplicationError`.
 """
 
 import random
@@ -27,7 +25,6 @@ from repro.replication import (
     AntiEntropy,
     DynamicVVTracker,
     FullyConnectedNetwork,
-    KernelTracker,
     MobileNode,
     NetworkMeter,
     StoreReplica,
@@ -42,7 +39,7 @@ def _population(family, replicas, network=None):
     network = network if network is not None else FullyConnectedNetwork()
     nodes = [
         MobileNode.first(
-            "n0", network, tracker_factory=KernelTracker.factory(family)
+            "n0", network, tracker_factory=kernel.family(family).factory
         )
     ]
     for index in range(1, replicas):
@@ -89,12 +86,10 @@ def _drive(nodes, gossip, *, seed, keys, rounds, settle):
     )
 
 
-def _run_scenario(
-    family, *, batched, seed, replicas=5, keys=6, rounds=15, settle=None
-):
+def _run_scenario(family, *, seed, replicas=5, keys=6, rounds=15, settle=None):
     """Run :func:`_drive` over the wire engine; returns the final state."""
     nodes = _population(family, replicas)
-    engine = WireSyncEngine(batched=batched)
+    engine = WireSyncEngine()
     gossip = AntiEntropy(nodes, rng=random.Random(seed), engine=engine)
     snapshot = _drive(
         nodes,
@@ -109,32 +104,20 @@ def _run_scenario(
 
 
 class TestLockstep:
-    @pytest.mark.parametrize("family", FAMILIES)
-    @pytest.mark.parametrize("seed", (0, 1, 2))
-    def test_batched_equals_per_envelope(self, family, seed):
-        batched, b_conflicts, _, _ = _run_scenario(family, batched=True, seed=seed)
-        enveloped, e_conflicts, _, _ = _run_scenario(family, batched=False, seed=seed)
-        assert batched == enveloped
-        assert b_conflicts == e_conflicts
-
     @pytest.mark.parametrize("family", [f for f in FAMILIES if f != "causal-history"])
     def test_every_family_matches_the_causal_oracle(self, family):
         # The causal-history family *is* the oracle: exact causal order by
         # construction.  Every exact mechanism must converge to the same
-        # sibling sets on the same scenario, through the batched wire.
-        ours, our_conflicts, _, _ = _run_scenario(family, batched=True, seed=77)
-        oracle, oracle_conflicts, _, _ = _run_scenario(
-            "causal-history", batched=True, seed=77
-        )
+        # sibling sets on the same scenario, through the wire.
+        ours, our_conflicts, _, _ = _run_scenario(family, seed=77)
+        oracle, oracle_conflicts, _, _ = _run_scenario("causal-history", seed=77)
         assert ours == oracle
         assert our_conflicts == oracle_conflicts
 
     @pytest.mark.parametrize("family", FAMILIES)
     def test_default_gossip_matches_an_explicit_engine(self, family):
         shape = dict(seed=3, keys=3, rounds=3, settle=2)
-        explicit, _, _, explicit_gossip = _run_scenario(
-            family, batched=True, replicas=3, **shape
-        )
+        explicit, _, _, explicit_gossip = _run_scenario(family, replicas=3, **shape)
         nodes = _population(family, 3)
         gossip = AntiEntropy(nodes, rng=random.Random(3))
         default = _drive(nodes, gossip, **shape)
@@ -146,33 +129,25 @@ class TestLockstep:
 
 
 class TestWireAccounting:
-    def test_batched_sends_streams_per_envelope_sends_stamps(self):
-        for batched in (True, False):
-            nodes = _population("version-stamp", 2)
-            for key in range(5):
-                nodes[0].write(f"key{key}", key)
-            engine = WireSyncEngine(batched=batched)
-            engine.sync(nodes[0].store, nodes[1].store)
-            if batched:
-                # The peer holds nothing (no request metadata to ship);
-                # the response is one stream carrying all five trackers.
-                assert engine.meter.messages == 1
-            else:
-                # ... while per-envelope ships one message per stamp.
-                assert engine.meter.messages == 5
-            assert engine.meter.bytes_sent > 0
-            assert engine.stamps_shipped == 5
-            # A second sync starts with one digest message for the five
-            # keys both sides hold; only key0's digests differ, so one
-            # stamp goes each way: request + response.
-            shipped = engine.stamps_shipped
-            nodes[0].write("key0", "fresh")
-            engine.sync(nodes[0].store, nodes[1].store)
-            if batched:
-                assert engine.meter.messages == 1 + 3
-            else:
-                assert engine.meter.messages == 5 + 3
-            assert engine.stamps_shipped == shipped + 2
+    def test_each_leg_sends_one_stream(self):
+        nodes = _population("version-stamp", 2)
+        for key in range(5):
+            nodes[0].write(f"key{key}", key)
+        engine = WireSyncEngine()
+        engine.sync(nodes[0].store, nodes[1].store)
+        # The peer holds nothing (no request metadata to ship); the
+        # response is one stream carrying all five trackers.
+        assert engine.meter.messages == 1
+        assert engine.meter.bytes_sent > 0
+        assert engine.stamps_shipped == 5
+        # A second sync starts with one digest message for the five keys
+        # both sides hold; only key0's digests differ, so one stamp goes
+        # each way: request + response.
+        shipped = engine.stamps_shipped
+        nodes[0].write("key0", "fresh")
+        engine.sync(nodes[0].store, nodes[1].store)
+        assert engine.meter.messages == 1 + 3
+        assert engine.stamps_shipped == shipped + 2
 
     def test_round_report_carries_traffic(self):
         nodes = _population("itc", 3)
@@ -234,7 +209,7 @@ class TestEngineContract:
         assert engine.stamps_shipped > 0
 
     def test_self_sync_is_rejected(self):
-        store = StoreReplica("a", tracker_factory=KernelTracker.factory("itc"))
+        store = StoreReplica("a", tracker_factory=kernel.family("itc").factory)
         with pytest.raises(ReplicationError):
             WireSyncEngine().sync(store, store)
 
@@ -242,35 +217,32 @@ class TestEngineContract:
         # Two replicas independently create the same key: the wire path
         # must flag the independent origins as a conflict, even when the
         # tracker bytes happen to be identical.
-        for batched in (True, False):
-            first = StoreReplica(
-                "a", tracker_factory=KernelTracker.factory("version-stamp")
-            )
-            second = StoreReplica(
-                "b", tracker_factory=KernelTracker.factory("version-stamp")
-            )
-            first.put("k", "mine")
-            second.put("k", "theirs")
-            report = WireSyncEngine(batched=batched).sync(first, second)
-            assert report.conflicts_detected == 1
-            assert sorted(map(repr, first.get("k"))) == sorted(
-                map(repr, second.get("k"))
-            )
-            assert len(first.get("k")) == 2
+        first = StoreReplica(
+            "a", tracker_factory=kernel.family("version-stamp").factory
+        )
+        second = StoreReplica(
+            "b", tracker_factory=kernel.family("version-stamp").factory
+        )
+        first.put("k", "mine")
+        second.put("k", "theirs")
+        report = WireSyncEngine().sync(first, second)
+        assert report.conflicts_detected == 1
+        assert sorted(map(repr, first.get("k"))) == sorted(
+            map(repr, second.get("k"))
+        )
+        assert len(first.get("k")) == 2
 
     def test_mixed_epoch_stores_still_sync_batched(self):
         # Keys can sit at different epochs (per-key compaction); the
         # engine groups frames by (family, epoch) rather than rejecting.
         first = StoreReplica(
-            "a", tracker_factory=KernelTracker.factory("version-stamp")
+            "a", tracker_factory=kernel.family("version-stamp").factory
         )
         second = StoreReplica(
-            "b", tracker_factory=KernelTracker.factory("version-stamp")
+            "b", tracker_factory=kernel.family("version-stamp").factory
         )
         first.put("k0", 1)
-        first._keys["k0"].tracker = KernelTracker(
-            first._keys["k0"].tracker.clock.with_epoch(2)
-        )
+        first._keys["k0"].tracker = first._keys["k0"].tracker.with_epoch(2)
         first.put("k1", 2)
         engine = WireSyncEngine()
         engine.sync(first, second)
