@@ -926,7 +926,7 @@ def _churn_elapsed(base, *, durable):
     fully deterministic (fixed seeds, fixed round count), so the durable
     and in-memory arms execute identical work and differ only in whether
     the stores journal to disk (file backend, OS page cache), including
-    the amortized snapshots epoch bumps take.
+    the snapshots the durability barrier takes.
     """
     import random
 
@@ -1152,8 +1152,14 @@ def measure_durability(log_lengths, *, repeats, min_time):
     with tempfile.TemporaryDirectory(prefix="repro-bench-durability-") as root:
         for length in log_lengths:
             path = Path(root) / f"recover-{length}"
+            # A threshold past the log length keeps the barrier from
+            # snapshotting, so recovery replays all ``length`` records.
             store = StoreReplica(
-                "bench", tracker_factory=factory, durable=True, path=path
+                "bench",
+                tracker_factory=factory,
+                durable=True,
+                path=path,
+                snapshot_every=length + 1,
             )
             for index in range(length):
                 store.put(f"key{index % DURABILITY_KEYS}", {"step": index})

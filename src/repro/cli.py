@@ -745,7 +745,7 @@ def build_parser() -> argparse.ArgumentParser:
     inspect_cmd = store_sub.add_parser(
         "inspect",
         help="header-only dump of a durable store (families, epochs, record "
-        "counts, CRC status) without decoding any payload",
+        "counts, replayable tail, CRC status) without decoding any payload",
     )
     inspect_cmd.add_argument(
         "path", help="store directory (file backend) or SQLite database file"

@@ -1,9 +1,9 @@
 """Header-only inspection of durable store artifacts (``repro store inspect``).
 
 Answers "what is in this store directory?" -- backend, snapshot groups
-(family, epoch, record count), journal record counts, sequence range and
-CRC status -- **without decoding a single clock payload or value**:
-snapshot groups are classified through
+(family, epoch, record count), journal record counts, sequence range,
+the tail recovery would replay and CRC status -- **without decoding a
+single clock payload or value**: snapshot groups are classified through
 :func:`~repro.kernel.stream.stream_info` (the ``"CS"`` header peek) and
 journal trackers through :func:`~repro.kernel.envelope_info` (the
 ``"CK"`` header peek).  Damage is part of the answer, not an obstacle to
@@ -77,6 +77,10 @@ class JournalInfo:
     families: Tuple[Tuple[str, int], ...]
     #: Epochs seen across state-record trackers.
     epochs: Tuple[int, ...]
+    #: Records recovery would replay (seq above the snapshot's covered
+    #: seq) and records the snapshot covers, which it would skip.
+    replayable: int
+    covered: int
     #: Where the CRC-valid prefix ends, when damage was found.
     damage: Optional[str] = None
     damage_offset: int = 0
@@ -155,8 +159,10 @@ def _inspect_snapshot(blob: Optional[bytes]) -> SnapshotInfo:
     )
 
 
-def _scan_blobs(blobs, total_bytes, damage: Optional[TailDamage]) -> JournalInfo:
-    records = state = clears = 0
+def _scan_blobs(
+    blobs, total_bytes, damage: Optional[TailDamage], upto_seq: int
+) -> JournalInfo:
+    records = state = clears = covered = 0
     first_seq = last_seq = 0
     families = {}
     epochs = set()
@@ -166,6 +172,8 @@ def _scan_blobs(blobs, total_bytes, damage: Optional[TailDamage]) -> JournalInfo
         if first_seq == 0:
             first_seq = seq
         last_seq = max(last_seq, seq)
+        if seq <= upto_seq:
+            covered += 1
         if kind == KIND_CLEAR:
             clears += 1
             continue
@@ -184,6 +192,8 @@ def _scan_blobs(blobs, total_bytes, damage: Optional[TailDamage]) -> JournalInfo
         last_seq=last_seq,
         families=tuple(sorted(families.items())),
         epochs=tuple(sorted(epochs)),
+        replayable=records - covered,
+        covered=covered,
         damage=damage.reason if damage else None,
         damage_offset=damage.offset if damage else 0,
     )
@@ -208,11 +218,12 @@ def inspect_path(path) -> StoreInfo:
     else:
         snapshot_blob, rows, journal_bytes = read_store(concrete)
         blobs, damage = scan_rows(rows)
+    snapshot = _inspect_snapshot(snapshot_blob)
     return StoreInfo(
         path=concrete,
         backend=backend,
-        snapshot=_inspect_snapshot(snapshot_blob),
-        journal=_scan_blobs(blobs, journal_bytes, damage),
+        snapshot=snapshot,
+        journal=_scan_blobs(blobs, journal_bytes, damage, snapshot.upto_seq),
     )
 
 
@@ -244,6 +255,10 @@ def format_report(info: StoreInfo) -> str:
         f"journal:  {journal.bytes} bytes, {journal.records} records "
         f"({journal.state_records} state, {journal.clear_records} clear), "
         f"seq {journal.first_seq}..{journal.last_seq}"
+    )
+    lines.append(
+        f"  tail: {journal.replayable} records to replay, "
+        f"{journal.covered} covered by the snapshot (skipped)"
     )
     for family, count in journal.families:
         lines.append(f"  family: {family} x{count}")

@@ -166,6 +166,8 @@ def rebuild(
         tracker_factory = kernel.family(family).factory
     journal = StoreJournal(log, snapshot_every=snapshot_every)
     journal.next_seq = report.last_seq + 1
+    # The tail recovery replayed is still on disk past the snapshot.
+    journal.records_since_snapshot = report.records_replayed + report.clears_applied
     store = StoreReplica(
         name, tracker_factory=tracker_factory, policy=policy, journal=journal
     )

@@ -6,19 +6,20 @@
 :meth:`StoreJournal.record_key` after every accepted mutation (a local
 write, a merge, a replication, a rollback) with the key's *post-mutation*
 state; the journal turns it into one sealed record and buffers it on the
-log.  :meth:`flush` is the durability barrier the replication layer
-invokes at its sync boundaries (see the soundness record in
+log.  Every mutation path then ends in the store's one durability barrier,
+:meth:`~repro.replication.store.StoreReplica._flush_journal`, which
+commits the buffer with :meth:`flush` (see the soundness record in
 ``ROADMAP.md``: the flush-at-sync-completion rule is what makes restoring
 a journal safe under the paper's I2 invariant).
 
-Compaction writes the whole live store as one snapshot --
-**the snapshot is the bytes already shipped on the wire**: every tracker
-serializes through its canonical envelope codec, grouped per
-``(family, epoch)`` into the same batched ``"CS"`` streams the sync
-engine ships, then the journal is truncated.  Epoch bumps are the natural
-moment: right after :meth:`~repro.replication.synchronizer.AntiEntropy.
-compact_key` re-roots a key, the old epoch's records describe identifier
-space that no longer exists, so the store snapshots and drops them.
+The same barrier bounds the journal: once the tail past the last snapshot
+holds :attr:`StoreJournal.SNAPSHOT_FACTOR` records per live key (or
+``snapshot_every`` records), it writes the whole live store as one
+snapshot and truncates the journal -- **the snapshot is the bytes already
+shipped on the wire**: every tracker serializes through its canonical
+envelope codec, grouped per ``(family, epoch)`` into the same batched
+``"CS"`` streams the sync engine ships.  So recovery replays a few
+records per live key, never the whole history.
 
 Only kernel-tracked stores can be durable: the dynamic-VV baseline
 tracker has no byte form, and inventing a private pickle for it
@@ -96,11 +97,15 @@ class StoreJournal:
     log:
         The backing :class:`~repro.durability.log.DurableLog`.
     snapshot_every:
-        Auto-compaction threshold: once this many records accumulate past
-        the last snapshot, the next :meth:`maybe_snapshot` call compacts.
-        ``None`` (default) compacts only when told to (epoch bumps and
-        explicit calls).
+        Snapshot threshold in journal records past the last snapshot.
+        ``None`` (default) scales it with the store:
+        :attr:`SNAPSHOT_FACTOR` records per live key.
     """
+
+    #: Tail records per live key that make the barrier snapshot.  A
+    #: snapshot writes every key while a tail record replays one, so a
+    #: factor of a few keeps snapshot work a small fraction of journal work.
+    SNAPSHOT_FACTOR = 4
 
     def __init__(
         self, log: DurableLog, *, snapshot_every: Optional[int] = None
@@ -115,8 +120,7 @@ class StoreJournal:
         self.next_seq = 1
         #: Records journaled since the last installed snapshot.
         self.records_since_snapshot = 0
-        #: Lifetime counters (benchmarks and reports).
-        self.records_written = 0
+        #: Snapshots installed by this journal (benchmarks and reports).
         self.snapshots_written = 0
 
     # -- journaling --------------------------------------------------------
@@ -137,17 +141,15 @@ class StoreJournal:
         self.log.append(blob)
         self.next_seq += 1
         self.records_since_snapshot += 1
-        self.records_written += 1
 
     def record_clear(self) -> None:
         """Journal a whole-store clear (crash-stop ``reset()``)."""
         self.log.append(encode_record(KIND_CLEAR, self.next_seq, b""))
         self.next_seq += 1
         self.records_since_snapshot += 1
-        self.records_written += 1
 
     def flush(self) -> None:
-        """Commit buffered records -- the store layer's durability barrier."""
+        """Commit buffered records (the commit step of the store's barrier)."""
         self.log.flush()
 
     # -- compaction --------------------------------------------------------
@@ -195,44 +197,6 @@ class StoreJournal:
         self.records_since_snapshot = 0
         self.snapshots_written += 1
         return len(blob)
-
-    def maybe_snapshot(self, store) -> bool:
-        """Compact when the auto-compaction threshold has been reached."""
-        if (
-            self.snapshot_every is not None
-            and self.records_since_snapshot >= self.snapshot_every
-        ):
-            self.snapshot(store)
-            return True
-        return False
-
-    #: Bump-time snapshots amortize against the journal tail: one fires
-    #: only once the tail holds this many records *per live key*.  A
-    #: snapshot writes every key while a tail record replays one, so a
-    #: factor of a few keeps snapshot work a small fraction of journal
-    #: work even under re-rooting storms.
-    BUMP_SNAPSHOT_FACTOR = 4
-
-    def snapshot_on_bump(self, store) -> bool:
-        """Compact at an epoch bump, amortized against the snapshot's cost.
-
-        Epoch bumps are the natural truncation point (the old epoch's
-        records describe identifier space that no longer exists), but a
-        snapshot costs O(live keys) -- taking one at *every* bump makes
-        frequent re-rooting quadratic.  So the bump only snapshots once
-        the journal tail holds :data:`BUMP_SNAPSHOT_FACTOR` records per
-        live key (i.e. replaying the tail clearly outweighs writing the
-        snapshot), or sooner when ``snapshot_every`` is tighter.
-        Correctness never depends on the snapshot happening: replay
-        handles stale-epoch records by sequence number regardless.
-        """
-        threshold = self.BUMP_SNAPSHOT_FACTOR * max(1, len(store._keys))
-        if self.snapshot_every is not None:
-            threshold = min(threshold, self.snapshot_every)
-        if self.records_since_snapshot >= threshold:
-            self.snapshot(store)
-            return True
-        return False
 
     # -- lifecycle ---------------------------------------------------------
 

@@ -45,12 +45,13 @@ A replica opened with ``durable=True`` (or recovered via
 :meth:`StoreReplica.recover`) journals the post-mutation state of every
 key it writes, merges, replicates or rolls back to an append-only
 :class:`~repro.durability.log.DurableLog` through a
-:class:`~repro.durability.store.StoreJournal`.  Local writes flush
-immediately; synchronization paths flush once at sync completion (the
-durability barrier that keeps recovery inside the paper's I2 invariant --
-see the recovery design record in ``ROADMAP.md``).  The store only duck
--types the journal, so this module never imports the durability package
-at module level.
+:class:`~repro.durability.store.StoreJournal`.  Every mutation ends in
+one barrier, :meth:`StoreReplica._flush_journal`: local writes reach it
+at once, synchronization paths once at sync completion (the rule that
+keeps recovery inside the paper's I2 invariant -- see ``ROADMAP.md``).
+It also snapshots once the journal tail outgrows the live state.  The
+store only duck-types the journal, so this module never imports the
+durability package at module level.
 """
 
 from __future__ import annotations
@@ -201,8 +202,8 @@ class StoreReplica:
         at the OS page cache (the process-crash model), ``N`` fsyncs
         every Nth flush.
     snapshot_every:
-        Auto-compaction threshold in journal records (``None`` compacts
-        only at epoch bumps and explicit requests).
+        Snapshot threshold in journal records (``None`` snapshots once the
+        tail holds ``StoreJournal.SNAPSHOT_FACTOR`` records per live key).
     journal:
         An already-constructed :class:`~repro.durability.store.
         StoreJournal` to attach (used by recovery); mutually exclusive
@@ -232,6 +233,8 @@ class StoreReplica:
         # moment an export lands), kept generic so other consumers can
         # observe local mutations without subclassing the store.
         self._put_listeners: List = []
+        # Sessions of this store between request and response legs.
+        self._exchanges_open = 0
         if durable and journal is None:
             if path is None:
                 raise ReplicationError(
@@ -288,9 +291,23 @@ class StoreReplica:
             self.journal.record_key(key, self._keys.get(key))
 
     def _flush_journal(self) -> None:
-        """Commit journaled records (the sync-boundary durability barrier)."""
-        if self.journal is not None:
-            self.journal.flush()
+        """The durability barrier every mutation path ends in.
+
+        Commits the journal, then snapshots once its tail holds
+        ``snapshot_every`` records, or ``SNAPSHOT_FACTOR`` per live key.
+        Not while another session of this store is mid-exchange: its
+        merged keys are uncommitted, and a lost response leg rolls them
+        back in memory only.  The next barrier takes the snapshot.
+        """
+        journal = self.journal
+        if journal is None:
+            return
+        journal.flush()
+        threshold = journal.snapshot_every or (
+            journal.SNAPSHOT_FACTOR * max(1, len(self._keys))
+        )
+        if not self._exchanges_open and journal.records_since_snapshot >= threshold:
+            journal.snapshot(self)
 
     # -- inspection ------------------------------------------------------
 
@@ -360,10 +377,8 @@ class StoreReplica:
             self._keys[key] = state
         state.values = [value]
         state.tracker = state.tracker.event()
-        if self.journal is not None:
-            self._record(key)
-            self.journal.flush()
-            self.journal.maybe_snapshot(self)
+        self._record(key)
+        self._flush_journal()
         for listener in self._put_listeners:
             listener(self, key)
 
@@ -401,9 +416,8 @@ class StoreReplica:
             )
         local, observer = state.tracker.fork()
         state.tracker = local
-        if self.journal is not None:
-            self._record(key)
-            self.journal.flush()
+        self._record(key)
+        self._flush_journal()
         return observer
 
     def delete(self, key: str) -> None:
@@ -422,7 +436,7 @@ class StoreReplica:
         self._keys.clear()
         if self.journal is not None:
             self.journal.record_clear()
-            self.journal.flush()
+            self._flush_journal()
 
     def fork(self, name: str, *, connected: bool = True) -> "StoreReplica":
         """Create a new store replica holding the same data, entirely locally.

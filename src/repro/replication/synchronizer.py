@@ -615,9 +615,15 @@ class WireSyncEngine:
         changed: List[str] = []
         rolled_back = set()
         if pending:
-            changed, request_lost, rolled_back = yield from self._exchange(
-                first, second, pending, report, abortable
-            )
+            first._exchanges_open += 1
+            second._exchanges_open += 1
+            try:
+                changed, request_lost, rolled_back = yield from self._exchange(
+                    first, second, pending, report, abortable
+                )
+            finally:
+                first._exchanges_open -= 1
+                second._exchanges_open -= 1
         # Rolled-back keys are byte-identical to their already journaled
         # pre-sync state, so the barrier journals only completed changes.
         # A crash mid-sync thus recovers to the pre-sync state -- exactly
@@ -1106,15 +1112,11 @@ class AntiEntropy:
             state.independently_created = False
             store = node.store
             if store.journal is not None:
-                # The epoch bump is the natural log-truncation point: every
-                # journal record below it describes identifier space the
-                # re-root just retired, so the store journals its compact
-                # post-bump state and -- once enough tail has accumulated
-                # to pay for one -- snapshots and drops the old epoch's
-                # records (amortized: see StoreJournal.snapshot_on_bump).
+                # Journal the compact post-bump state.  The barrier's one
+                # snapshot policy drops the old epoch's records with the
+                # rest of the tail; replay skips any it still finds.
                 store._record(key)
-                if not store.journal.snapshot_on_bump(store):
-                    store.journal.flush()
+                store._flush_journal()
         self.compactions += 1
         return True
 

@@ -89,6 +89,16 @@ def inspect_like_recovery(tmp_path, path, backend):
     return info, damage
 
 
+def replay_counts(tmp_path, path, backend):
+    """``(records replayed + clears applied, records skipped)`` recovering a copy."""
+    copy = tmp_path / "recovered"
+    shutil.copytree(path, copy)
+    recovered, report = StoreReplica.recover(copy, name="n0", backend=backend)
+    recovered.journal.close()
+    shutil.rmtree(copy)
+    return report.records_replayed + report.clears_applied, report.records_skipped
+
+
 def run_cli(capsys, path):
     status = main(["store", "inspect", os.fspath(path)])
     out, err = capsys.readouterr()
@@ -185,6 +195,45 @@ class TestInspect:
         status, out, _ = run_cli(capsys, path)
         assert status == 2
         assert "crc FAILED" in out
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+class TestReplayableTail:
+    """Inspect counts the records recovery replays and the ones it skips."""
+
+    def test_snapshot_plus_tail(self, tmp_path, capsys, backend):
+        store, path = build_store(tmp_path, backend)
+        store.journal.record_clear()
+        store.journal.close()
+        info, _ = inspect_like_recovery(tmp_path, path, backend)
+        assert (info.journal.replayable, info.journal.covered) == (4, 0)
+        assert replay_counts(tmp_path, path, backend) == (4, 0)
+        out = run_cli(capsys, path)[1]
+        assert "tail: 4 records to replay, 0 covered by the snapshot" in out
+
+    def test_crash_after_snapshot_installed(self, tmp_path, capsys, backend):
+        """The window between installing a snapshot and truncating the
+        journal: every journal record is one the snapshot covers."""
+        store, path = build_store(tmp_path, backend)
+
+        class Boom(Exception):
+            pass
+
+        def hook(point):
+            if point == "snapshot-installed":
+                raise Boom()
+
+        store.journal.log.crash_hook = hook
+        with pytest.raises(Boom):
+            store.journal.snapshot(store)
+        store.journal.log.crash_hook = None
+        store.journal.simulate_crash()
+        store.journal.close()
+        info, _ = inspect_like_recovery(tmp_path, path, backend)
+        assert (info.journal.replayable, info.journal.covered) == (0, 3)
+        assert replay_counts(tmp_path, path, backend) == (0, 3)
+        out = run_cli(capsys, path)[1]
+        assert "tail: 0 records to replay, 3 covered by the snapshot" in out
 
 
 def flip_second_record(path, backend):

@@ -4,7 +4,8 @@ The tentpole proof obligation of the durability layer: after ``recover()``
 the replica's values, tracker stamps (byte for byte, through the
 canonical envelope codec) and epochs equal the pre-crash configuration --
 for all four kernel families, on both backends, including crashes
-injected mid-sync and mid-compaction.
+injected mid-sync, mid-compaction and inside the snapshots the store's
+durability barrier takes.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import pytest
 
 from repro import kernel
 from repro.core.errors import DurabilityError, ReplicationError
+from repro.durability.inspect import inspect_path
 from repro.durability.recovery import rebuild
 from repro.durability.store import StoreJournal, open_log
 from repro.replication.faults import FaultPlan, FaultyTransport
@@ -167,6 +169,29 @@ class TestRecoveryEquality:
         recovered, report = recover_same(a, tmp_path, family, backend)
         assert_lockstep_equal(recovered, a)
 
+    def test_recovery_keeps_counting_its_tail(self, tmp_path, family, backend):
+        """A recovered journal counts the tail it replayed toward its next
+        snapshot, so a store that crash-recovers more often than it fills
+        its threshold still snapshots and keeps its tail bounded."""
+        a = durable_store(tmp_path, family, backend, snapshot_every=50)
+        path = tmp_path / f"a-{family}-{backend}"
+        for index in range(200):
+            a.put(f"k{index % 5}", index)
+            if index % 10 == 9:
+                before = store_fingerprint(a)
+                a.journal.simulate_crash()
+                a.journal.close()
+                a, report = StoreReplica.recover(
+                    path, name="a", backend=backend, snapshot_every=50
+                )
+                assert store_fingerprint(a) == before
+                tail = inspect_path(path).journal.replayable
+                assert tail == report.records_replayed
+                assert tail == a.journal.records_since_snapshot
+                # One put's barrier journals one record.
+                assert tail <= 50 + 1
+        assert inspect_path(path).snapshot.present
+
 
 @pytest.mark.parametrize("family", FAMILIES)
 class TestMidSyncCrash:
@@ -274,6 +299,9 @@ class TestMidCompactionCrash:
 
         store.journal.log.crash_hook = hook
         epoch_before = store.tracker_of("k").epoch
+        # The barrier keeps the tail below the default threshold, so give
+        # the bump's one record a threshold it reaches.
+        store.journal.snapshot_every = store.journal.records_since_snapshot + 1
         try:
             gossip.compact_key("k")
             crashed = False
@@ -294,6 +322,52 @@ class TestMidCompactionCrash:
             # come back at the new epoch with the bumped tracker bytes.
             assert store_fingerprint(recovered) == post_crash
             assert recovered_epoch == epoch_before + 1
+
+    @pytest.mark.parametrize("trigger", ["put", "sync-commit"])
+    def test_barrier_snapshot_crash(
+        self, tmp_path, family, backend, crash_point, trigger
+    ):
+        """A crash inside a snapshot the durability barrier takes on its own,
+        at a put or at a sync commit.  The barrier commits the records before
+        it snapshots, so recovery lands on the last flushed state."""
+        a = durable_store(tmp_path, family, backend)
+        if trigger == "put":
+
+            def step(index):
+                a.put(f"k{index % 3}", index)
+
+        else:
+            # ``a`` only ever changes through syncs, so every one of its
+            # barriers is a sync commit.
+            b = StoreReplica("b", tracker_factory=kernel.family(family).factory)
+            engine = WireSyncEngine()
+
+            def step(index):
+                b.put(f"k{index % 3}", index)
+                engine.sync(a, b)
+
+        class Boom(Exception):
+            pass
+
+        def hook(point):
+            if point == crash_point:
+                raise Boom()
+
+        a.journal.log.crash_hook = hook
+        for index in range(64):
+            try:
+                step(index)
+            except Boom:
+                break
+        else:
+            pytest.fail("the barrier never snapshotted")
+        a.journal.log.crash_hook = None
+        flushed = store_fingerprint(a)
+        recovered, report = recover_same(a, tmp_path, family, backend)
+        assert report.clean
+        assert store_fingerprint(recovered) == flushed
+        if crash_point == "snapshot-installed":
+            assert report.records_skipped > 0
 
 
 @pytest.mark.parametrize("family", FAMILIES)
