@@ -22,6 +22,7 @@ from __future__ import annotations
 from .checker import (
     ContractChecker,
     ContractViolation,
+    HealedViolation,
     OperationRecord,
     ViolationReport,
 )
@@ -33,6 +34,7 @@ __all__ = [
     "ContractSpec",
     "ContractChecker",
     "ContractViolation",
+    "HealedViolation",
     "OperationRecord",
     "ViolationReport",
     "LostLeg",

@@ -10,6 +10,15 @@ ContractSpec` declarations and two kinds of state:
 * *bindings* -- which store replica a target operation runs against,
   for the inline :meth:`scan` hook the gossip drivers call.
 
+:meth:`ContractChecker.check` is a stateless query: it evaluates every
+contract on the operation and explains each violation it returns.
+:meth:`ContractChecker.scan` reports transitions instead.  It
+re-evaluates a binding only when its inputs changed since the last scan
+(the target key's clock object, the source's recording count, the bound
+store), appends a violation to :attr:`~ContractChecker.violations` when
+it opens or changes, and appends a :class:`HealedViolation` to
+:attr:`~ContractChecker.healed` when it closes.
+
 Checking is family-generic by construction: the only question ever
 asked of causal metadata is the
 :meth:`~repro.kernel.protocol.CausalityClock.compare` of two clocks, read
@@ -40,13 +49,15 @@ On violation the checker raises (or collects) a typed
 :class:`ViolationReport`; when the engine records a
 :class:`~repro.replication.history.SyncHistory`, the report embeds the
 :class:`~repro.contracts.provenance.ProvenanceTrace` naming the sync
-paths that should have carried the knowledge and didn't.
+paths that should have carried the knowledge and didn't.  Evaluation
+builds reports without it; ``check()`` attaches it to every report it
+returns and ``scan()`` only to the reports it appends.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Deque, Dict, Iterable, List, Optional, Tuple
 
 from ..core.errors import ContractError, ReplicationError
@@ -61,6 +72,7 @@ __all__ = [
     "OperationRecord",
     "ViolationReport",
     "ContractViolation",
+    "HealedViolation",
     "ContractChecker",
 ]
 
@@ -150,6 +162,18 @@ class ViolationReport:
         return "\n".join(lines)
 
 
+@dataclass(frozen=True)
+class HealedViolation:
+    """One violation a scan saw open and later saw satisfied."""
+
+    #: The report :meth:`ContractChecker.scan` appended when it opened.
+    report: ViolationReport
+    #: ``SyncHistory.next_seq`` when it opened and when it healed (None
+    #: without a history): how long it stood, in exchanges.
+    opened_seq: Optional[int]
+    healed_seq: Optional[int]
+
+
 class ContractViolation(ContractError):
     """A checked contract did not hold.
 
@@ -164,8 +188,18 @@ class ContractViolation(ContractError):
         self.report = report
 
 
+#: A violation as evaluation finds it: the provenance-free report and the
+#: source record it was checked against (None when the source never ran);
+#: ``ContractChecker._explain`` adds the provenance.
+_Finding = Tuple[ViolationReport, Optional[OperationRecord]]
+
+
 class _OpLog:
-    """Retained recordings of one (source operation, key) pair."""
+    """Retained recordings of one (source operation, key) pair.
+
+    A log is created with its first recording, so ``recent`` is never
+    empty and ``recent[-1]`` is the latest recording.
+    """
 
     __slots__ = ("first", "recent", "count")
 
@@ -179,10 +213,6 @@ class _OpLog:
             self.first = record
         self.recent.append(record)
         self.count += 1
-
-    @property
-    def latest(self) -> Optional[OperationRecord]:
-        return self.recent[-1] if self.recent else None
 
 
 class ContractChecker:
@@ -231,8 +261,22 @@ class ContractChecker:
             depth = (spec.max_lag + 1) if spec.max_lag is not None else 1
             self._depths[pair] = max(self._depths.get(pair, 1), depth)
         self._bindings: Dict[str, StoreReplica] = {}
-        #: Violations collected by :meth:`scan` (the inline gossip hook).
+        #: Violations :meth:`scan` saw open or change, each once, with
+        #: provenance as it stood at that scan.
         self.violations: List[ViolationReport] = []
+        #: Violations :meth:`scan` saw close, in the order they healed.
+        self.healed: List[HealedViolation] = []
+        # Per spec name: the bound store, target clock and source
+        # recording count the last scan evaluated.  Held by reference,
+        # so a freed clock's id can never alias a live one.
+        self._inputs: Dict[
+            str, Tuple[StoreReplica, Optional[CausalityClock], int]
+        ] = {}
+        # Per spec name, while violated: the last report (provenance-free),
+        # the report that opened the violation and the seq it opened at.
+        self._open: Dict[
+            str, Tuple[ViolationReport, ViolationReport, Optional[int]]
+        ] = {}
 
     # -- producer side -----------------------------------------------------
 
@@ -279,7 +323,7 @@ class ContractChecker:
             replica=store.name,
             tracker=tracker,
             epoch=tracker.epoch,
-            seq=self.history.next_seq if self.history is not None else None,
+            seq=self._next_seq(),
             index=log.count + 1,
         )
         log.add(record)
@@ -348,25 +392,58 @@ class ContractChecker:
                 )
         reports = []
         for spec in specs:
-            report = self._evaluate(spec, store)
-            if report is not None:
+            finding = self._evaluate(spec, store)
+            if finding is not None:
+                report = self._explain(*finding)
                 if raise_on_violation:
                     raise ContractViolation(report)
                 reports.append(report)
         return reports
 
     def scan(self) -> List[ViolationReport]:
-        """Evaluate all bound target operations, collecting violations.
+        """Evaluate all bound target operations, reporting transitions.
 
-        The inline hook gossip drivers call after each round / session:
-        never raises, appends fresh violations to :attr:`violations`, and
-        returns this scan's findings.
+        The inline hook gossip drivers call after each round / session;
+        it never raises.  A binding is re-evaluated only when its bound
+        store, its target key's clock object or its source's recording
+        count changed since the last scan: clocks are immutable and every
+        mutation path assigns a new one, and the verdict reads nothing
+        else.  A violation is appended to :attr:`violations`, with its
+        provenance, when it opens or its mode, record, ordering or lag
+        changes; a violation that closes is appended to :attr:`healed`.
+        Returns the reports this scan appended.
         """
         fresh: List[ViolationReport] = []
         for operation in sorted(self._bindings):
-            fresh.extend(
-                self.check(operation, raise_on_violation=False)
-            )
+            store = self._bindings[operation]
+            for spec in self._by_target[operation]:
+                target = self._target_tracker(spec, store)
+                log = self._logs.get((spec.source, spec.key))
+                count = log.count if log is not None else 0
+                seen = self._inputs.get(spec.name)
+                if (
+                    seen is not None
+                    and seen[0] is store
+                    and seen[1] is target
+                    and seen[2] == count
+                ):
+                    continue
+                self._inputs[spec.name] = (store, target, count)
+                finding = self._evaluate(spec, store)
+                opened = self._open.get(spec.name)
+                if finding is None:
+                    if opened is not None:
+                        del self._open[spec.name]
+                        self.healed.append(
+                            HealedViolation(opened[1], opened[2], self._next_seq())
+                        )
+                elif opened is None or opened[0] != finding[0]:
+                    explained = self._explain(*finding)
+                    first, since = (
+                        (explained, self._next_seq()) if opened is None else opened[1:]
+                    )
+                    self._open[spec.name] = (finding[0], first, since)
+                    fresh.append(explained)
         self.violations.extend(fresh)
         return fresh
 
@@ -374,7 +451,7 @@ class ContractChecker:
 
     def _evaluate(
         self, spec: ContractSpec, store: StoreReplica
-    ) -> Optional[ViolationReport]:
+    ) -> Optional[_Finding]:
         log = self._logs.get((spec.source, spec.key))
         if spec.kind is ContractKind.MUTUAL_EXCLUSION:
             return self._check_exclusion(spec, store, log)
@@ -384,12 +461,12 @@ class ContractChecker:
                     spec, store, mode="missing", record=None, ordering=None
                 )
             return self._check_dominance(spec, store, log.first)
-        if log is None or log.latest is None:
+        if log is None:
             # No recorded source state yet: observes/freshness are
             # vacuously satisfied (there is nothing to observe).
             return None
         if spec.kind is ContractKind.OBSERVES:
-            return self._check_dominance(spec, store, log.latest)
+            return self._check_dominance(spec, store, log.recent[-1])
         return self._check_freshness(spec, store, log)
 
     def _target_tracker(
@@ -400,38 +477,35 @@ class ContractChecker:
 
     def _relation(
         self, target: CausalityClock, record: OperationRecord
-    ) -> Optional[str]:
-        """How ``target`` fails to dominate the record, epoch-resolved."""
-        target_epoch = target.epoch
-        if target_epoch != record.epoch:
-            # Cross-epoch: resolved by the compaction invariant (see the
-            # module docstring), never by a direct compare.
-            return None if target_epoch > record.epoch else "straggler"
-        return target.compare(record.tracker).shortfall
+    ) -> Optional[Ordering]:
+        """``target`` compared with the record; None across epochs.
+
+        A cross-epoch pair is never compared: the compaction invariant
+        (see the module docstring) orders it by epoch alone.
+        """
+        if target.epoch != record.epoch:
+            return None
+        return target.compare(record.tracker)
 
     def _check_dominance(
         self, spec: ContractSpec, store: StoreReplica, record: OperationRecord
-    ) -> Optional[ViolationReport]:
+    ) -> Optional[_Finding]:
         target = self._target_tracker(spec, store)
         if target is None:
             return self._report(
                 spec, store, mode="missing", record=record, ordering=None
             )
-        failure = self._relation(target, record)
+        ordering = self._relation(target, record)
+        failure = _shortfall(target, record, ordering)
         if failure is None:
             return None
-        ordering = (
-            target.compare(record.tracker).value
-            if failure in ("stale", "concurrent")
-            else None
-        )
         return self._report(
             spec, store, mode=failure, record=record, ordering=ordering
         )
 
     def _check_freshness(
         self, spec: ContractSpec, store: StoreReplica, log: _OpLog
-    ) -> Optional[ViolationReport]:
+    ) -> Optional[_Finding]:
         assert spec.max_lag is not None
         if log.count <= spec.max_lag:
             # Fewer recordings than the allowed lag exist at all, so the
@@ -443,21 +517,19 @@ class ContractChecker:
             return self._report(
                 spec, store, mode="missing", record=bound, ordering=None
             )
-        failure = self._relation(target, bound)
+        ordering = self._relation(target, bound)
+        failure = _shortfall(target, bound, ordering)
         if failure is None:
             return None
         # Actual lag, for the report: distance from the newest recording
         # to the first one the target dominates (None: beyond retention).
         lag: Optional[int] = None
         for offset, record in enumerate(reversed(log.recent)):
-            if self._relation(target, record) is None:
+            if record is bound:
+                continue  # already known not to be dominated
+            if _shortfall(target, record, self._relation(target, record)) is None:
                 lag = offset
                 break
-        ordering = (
-            target.compare(bound.tracker).value
-            if failure in ("stale", "concurrent")
-            else None
-        )
         return self._report(
             spec, store, mode=failure, record=bound, ordering=ordering, lag=lag
         )
@@ -467,26 +539,20 @@ class ContractChecker:
         spec: ContractSpec,
         store: StoreReplica,
         log: Optional[_OpLog],
-    ) -> Optional[ViolationReport]:
-        record = log.latest if log is not None else None
-        if record is None:
+    ) -> Optional[_Finding]:
+        if log is None:
             return None
+        record = log.recent[-1]
         target = self._target_tracker(spec, store)
         if target is None:
             return None
-        if target.epoch != record.epoch:
-            # Cross-epoch states are ordered by the compaction invariant
-            # (the newer epoch dominates), hence never concurrent.
-            return None
-        ordering = target.compare(record.tracker)
+        # Cross-epoch states are ordered by the compaction invariant (the
+        # newer epoch dominates), hence never concurrent.
+        ordering = self._relation(target, record)
         if ordering is not Ordering.CONCURRENT:
             return None
         return self._report(
-            spec,
-            store,
-            mode="concurrent",
-            record=record,
-            ordering=ordering.value,
+            spec, store, mode="concurrent", record=record, ordering=ordering
         )
 
     def _report(
@@ -496,29 +562,52 @@ class ContractChecker:
         *,
         mode: str,
         record: Optional[OperationRecord],
-        ordering: Optional[str],
+        ordering: Optional[Ordering],
         lag: Optional[int] = None,
-    ) -> ViolationReport:
-        provenance = None
-        if (
-            self.history is not None
-            and record is not None
-            and record.seq is not None
-        ):
-            provenance = reconstruct(
-                self.history,
-                key=spec.key,
-                source_replica=record.replica,
-                target_replica=store.name,
-                since_seq=record.seq,
-            )
-        return ViolationReport(
+    ) -> _Finding:
+        report = ViolationReport(
             spec=spec,
             mode=mode,
             target_replica=store.name,
             source_replica=record.replica if record is not None else None,
-            ordering=ordering,
+            ordering=ordering.value if ordering is not None else None,
             lag=lag,
             record_index=record.index if record is not None else None,
-            provenance=provenance,
         )
+        return report, record
+
+    def _explain(
+        self, report: ViolationReport, record: Optional[OperationRecord]
+    ) -> ViolationReport:
+        """``report`` with its provenance trace, when the history has one."""
+        if self.history is None or record is None or record.seq is None:
+            return report
+        return replace(
+            report,
+            provenance=reconstruct(
+                self.history,
+                key=report.key,
+                source_replica=record.replica,
+                target_replica=report.target_replica,
+                since_seq=record.seq,
+            ),
+        )
+
+    def _next_seq(self) -> Optional[int]:
+        return self.history.next_seq if self.history is not None else None
+
+
+def _shortfall(
+    target: CausalityClock,
+    record: OperationRecord,
+    ordering: Optional[Ordering],
+) -> Optional[str]:
+    """How ``target`` fails to dominate the record, epoch-resolved.
+
+    ``ordering`` is :meth:`ContractChecker._relation` of the pair.  A
+    cross-epoch target is satisfied when its epoch is newer and a
+    ``"straggler"`` when it is older (see the module docstring).
+    """
+    if ordering is None:
+        return None if target.epoch > record.epoch else "straggler"
+    return ordering.shortfall

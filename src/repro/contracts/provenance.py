@@ -166,8 +166,9 @@ def reconstruct(
     """
     if until_seq is None:
         until_seq = history.next_seq
-    oldest = history.oldest_seq
-    truncated = oldest is None or oldest > since_seq
+    # Sequence numbers start at 0 and are contiguous, so the ring has
+    # evicted exactly the records with seq < evicted.
+    truncated = since_seq < history.evicted
     holders = {source_replica}
     last_holder = source_replica
     last_spread_seq: Optional[int] = None

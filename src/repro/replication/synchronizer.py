@@ -873,7 +873,8 @@ class AntiEntropy:
         #: Optional :class:`~repro.contracts.ContractChecker` scanned at
         #: the end of every round (duck-typed: anything with ``scan()``),
         #: so ordering contracts are evaluated inline with gossip instead
-        #: of only at explicit operation boundaries.
+        #: of only at explicit operation boundaries.  A scan reports each
+        #: violation when it opens or changes and each heal once.
         self.checker = checker
         self.reports: List[RoundReport] = []
         #: Successful epoch-bump compactions performed so far.

@@ -394,7 +394,9 @@ class AntiEntropyService:
         Optional :class:`~repro.contracts.ContractChecker` (duck-typed:
         anything with ``scan()``), scanned after every completed session
         and once more at the end of every round -- contracts are enforced
-        inline with gossip.
+        inline with gossip.  A scan re-evaluates only the bindings whose
+        inputs changed, reports each violation when it opens or changes,
+        and records each heal once.
     health:
         Enables the grey-failure resilience layer: pass ``True`` for the
         default :class:`~repro.service.health.HealthConfig` or a config

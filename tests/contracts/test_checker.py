@@ -466,3 +466,69 @@ class TestCheckerApi:
         network.heal()
         gossip.run_round()
         assert len(checker.violations) == 1
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+class TestCompareOnce:
+    """A violating check compares each (target, record) pair at most once."""
+
+    def _compares(self, monkeypatch, store):
+        clock_class = type(store._keys["k"].tracker)
+        original = clock_class.compare
+        pairs = []
+
+        def counting(clock, other):
+            pairs.append((clock, other))
+            return original(clock, other)
+
+        monkeypatch.setattr(clock_class, "compare", counting)
+        return pairs
+
+    def _stale_target(self, family, checker):
+        nodes, gossip = _population(family)
+        checker.watch_writes(nodes[0].store, "export")
+        nodes[0].write("k", 0)
+        _sync_all(gossip)
+        for value in (1, 2, 3):
+            nodes[0].write("k", value)
+        return nodes[1].store
+
+    def _assert_distinct(self, pairs):
+        # The pairs are held, so their ids cannot be reused mid-test.
+        assert pairs
+        assert len({(id(a), id(b)) for a, b in pairs}) == len(pairs)
+
+    def test_dominance(self, family, monkeypatch):
+        checker = ContractChecker(
+            [
+                ContractSpec(
+                    name="c", kind="observes", source="export",
+                    target="train", key="k",
+                )
+            ]
+        )
+        store = self._stale_target(family, checker)
+        pairs = self._compares(monkeypatch, store)
+        (report,) = checker.check("train", store, raise_on_violation=False)
+        assert (report.mode, report.ordering) == ("stale", "before")
+        self._assert_distinct(pairs)
+
+    def test_freshness_with_lag(self, family, monkeypatch):
+        checker = ContractChecker(
+            [
+                ContractSpec(
+                    name="tight", kind="freshness-within-k-events",
+                    source="export", target="train", key="k", max_lag=1,
+                ),
+                ContractSpec(
+                    name="loose", kind="freshness-within-k-events",
+                    source="export", target="train", key="k", max_lag=5,
+                ),
+            ]
+        )
+        store = self._stale_target(family, checker)
+        pairs = self._compares(monkeypatch, store)
+        (report,) = checker.check("train", store, raise_on_violation=False)
+        assert (report.mode, report.ordering, report.lag) == ("stale", "before", 3)
+        self._assert_distinct(pairs)
+        assert len(pairs) == 4  # the bound, then the other three recordings

@@ -168,7 +168,9 @@ class TestReplay:
         # holds the knowledge.
         assert trace.holders == ("a",)
 
-    def test_empty_history_is_truncated_and_attemptless(self):
+    def test_empty_history_is_untruncated_and_attemptless(self):
+        # An empty ring has evicted nothing, so it lost no part of the
+        # window: the empty story is the whole story.
         history = SyncHistory(maxlen=4)
         trace = reconstruct(
             history,
@@ -177,6 +179,7 @@ class TestReplay:
             target_replica="b",
             since_seq=0,
         )
-        assert trace.truncated
+        assert not trace.truncated
+        assert history.evicted == 0
         assert trace.attempts == 0
         assert trace.holders == ("a",)
