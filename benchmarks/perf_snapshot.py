@@ -783,7 +783,6 @@ def _health_arm(*, degrade, health, hedge):
     from repro.replication import DegradationPlan
     from repro.service import (
         AntiEntropyService,
-        AsyncWireSyncEngine,
         HealthConfig,
         LinkProfile,
         build_cluster,
@@ -801,7 +800,7 @@ def _health_arm(*, degrade, health, hedge):
     transport = FaultyTransport(nodes[0].network, plan=plan, seed=seed)
     service = AntiEntropyService(
         nodes,
-        engine=AsyncWireSyncEngine(transport=transport),
+        engine=WireSyncEngine(transport=transport),
         link=LinkProfile(latency=HEALTH_LINK_LATENCY),
         seed=seed,
         health=(

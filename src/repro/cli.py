@@ -250,13 +250,13 @@ def _cmd_kernel(args: argparse.Namespace) -> int:
 def _cmd_serve_sim(args: argparse.Namespace) -> int:
     import json as json_module
 
-    from .replication import DegradationPlan, FaultPlan, FaultyTransport
-    from .service import (
-        AntiEntropyService,
-        AsyncWireSyncEngine,
-        LinkProfile,
-        build_cluster,
+    from .replication import (
+        DegradationPlan,
+        FaultPlan,
+        FaultyTransport,
+        WireSyncEngine,
     )
+    from .service import AntiEntropyService, LinkProfile, build_cluster
 
     nodes, key_names = build_cluster(
         args.replicas, keys=args.keys, family=args.clock, seed=args.seed
@@ -270,7 +270,7 @@ def _cmd_serve_sim(args: argparse.Namespace) -> int:
     if args.loss > 0 or degradation is not None:
         plan = FaultPlan(loss=args.loss, degradation=degradation)
         transport = FaultyTransport(nodes[0].network, plan=plan, seed=args.seed)
-    engine = AsyncWireSyncEngine(transport=transport)
+    engine = WireSyncEngine(transport=transport)
     link = LinkProfile(
         latency=args.latency, bandwidth=args.bandwidth, jitter=args.jitter
     )

@@ -251,11 +251,11 @@ def stamp_to_bitstream(stamp: VersionStamp) -> List[int]:
 #: decode to equal stamps), so payload bytes are a perfect identity for the
 #: decoded value and stamps decoded twice can share one object -- the same
 #: idiom as the BitString and CausalHistory intern tables and the compare
-#: memo.  This is what makes the anti-entropy steady state cheap: a peer
-#: re-ships mostly-unchanged metadata every round, and every re-decode
-#: after the first is a dictionary hit.  Bounded FIFO so a long-lived
-#: process cannot grow it without limit; only successful decodes are
-#: cached, so malformed payloads are re-rejected each time.
+#: memo.  It serves every decode path -- stream frames, envelopes and
+#: journal replay -- and the codec CI gate's round-trip of one fixed
+#: frontier is mostly its hits.  Bounded FIFO so a long-lived process
+#: cannot grow it without limit; only successful decodes are cached, so
+#: malformed payloads are re-rejected each time.
 _DECODE_INTERN: Dict[tuple, VersionStamp] = {}
 _DECODE_INTERN_MAX = 1 << 15
 

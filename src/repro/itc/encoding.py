@@ -25,8 +25,7 @@ construction, so an honest encoding is always the unique normal-form bit
 string, and the decoders *reject* non-normal trees (a collapsible id pair,
 mergeable event leaves, an unsunk child minimum) instead of quietly
 normalizing them.  Distinct byte strings therefore never decode equal --
-the property the decode interns and the stream
-:class:`~repro.kernel.stream.InternTable` key on, and what confines a
+the property the decode interns key on, and what confines a
 corrupted-but-parseable payload to "typed rejection" rather than silently
 admitted damage.
 
@@ -207,9 +206,8 @@ _ITCStamp = None
 
 #: Decode-side intern, mirroring :data:`repro.core.encoding._DECODE_INTERN`:
 #: the codec is canonical, so payload bytes identify the decoded stamp and
-#: re-decoding the unchanged metadata a peer re-ships every anti-entropy
-#: round is a dictionary hit.  Bounded FIFO; only successful decodes are
-#: cached.
+#: re-decoding a payload seen before, on any decode path, is a dictionary
+#: hit.  Bounded FIFO; only successful decodes are cached.
 _DECODE_INTERN = {}
 _DECODE_INTERN_MAX = 1 << 15
 

@@ -13,8 +13,8 @@ mechanism the repo reproduces:
 * :mod:`~repro.kernel.envelope` -- the versioned, self-describing,
   epoch-tagged wire envelope shared by every family;
 * :mod:`~repro.kernel.stream`   -- the batched envelope stream (one header
-  + N length-prefixed frames, single shared epoch, lazy zero-copy decode
-  with an interning table) that anti-entropy batches ride on;
+  + N length-prefixed frames, single shared epoch, lazy zero-copy decode)
+  that anti-entropy batches ride on;
 * :mod:`~repro.kernel.adapters` -- the lockstep mechanism adapters, each
   replaying a trace through :func:`repro.sim.trace.apply_operation`; the
   generic :class:`KernelClockAdapter` drives any registered family through
@@ -73,7 +73,6 @@ from .stream import (
     STREAM_MAGIC,
     ClockStream,
     IncrementalStreamDecoder,
-    InternTable,
     StreamInfo,
     decode_stream,
     encode_stream,
@@ -111,7 +110,6 @@ __all__ = [
     "STREAM_FORMAT_VERSION",
     "STREAM_HEADER_SIZE",
     "StreamInfo",
-    "InternTable",
     "ClockStream",
     "encode_stream",
     "decode_stream",

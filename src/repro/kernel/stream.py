@@ -28,11 +28,9 @@ Batch rules (enforced at encode time, typed errors):
 Decoding is **lazy and zero-copy**: :func:`decode_stream` validates the
 frame table once and returns a :class:`ClockStream` whose frames are
 ``memoryview`` subviews of the caller's buffer, decoded into clocks only
-on access and cached per index.  An optional :class:`InternTable` makes
-repeated payloads pointer-equal -- within one batch *and across batches
-that share the table*, which is what lets a replication engine skip
-re-decoding the (typically unchanged) metadata a peer re-ships every
-anti-entropy round.
+on access and cached per index.  The version-stamp and ITC codecs intern
+decoded payloads themselves, so a payload seen before decodes to the same
+stamp object on every decode path (streams, envelopes, journal replay).
 
 :func:`stream_info` is the streaming peek: it reads family, epoch and
 frame count from the 12-byte header alone, so a router can classify a
@@ -48,9 +46,14 @@ Corruption isolation: every rejection a damaged stream can provoke is one
 of those typed errors -- structural damage (header, frame table, trailing
 bytes) eagerly at :func:`decode_stream`, payload damage lazily at frame
 access -- never a raw ``struct``/``IndexError``, so a fault-tolerant
-consumer can retry or skip per frame.  The :class:`InternTable` only
-admits *successfully decoded* clocks, so a bad frame can never poison
-entries other consumers share.
+consumer can retry or skip per frame.
+
+:class:`IncrementalStreamDecoder` accepts a stream in arbitrary chunks and
+rejects malformed prefixes as early as they are decidable.  The
+replication engine decodes every delivered body, already complete in
+memory, with :func:`decode_stream`, so nothing in the library drives the
+incremental decoder; it is kept, with its tests, for the wall-clock
+benchmark's tracer.
 """
 
 from __future__ import annotations
@@ -73,7 +76,6 @@ __all__ = [
     "STREAM_FORMAT_VERSION",
     "STREAM_HEADER_SIZE",
     "StreamInfo",
-    "InternTable",
     "ClockStream",
     "IncrementalStreamDecoder",
     "encode_stream",
@@ -96,48 +98,6 @@ class StreamInfo(NamedTuple):
     format_version: int
     epoch: int
     frame_count: int
-
-
-class InternTable:
-    """A bounded payload -> clock table making repeated stamps pointer-equal.
-
-    Keys are ``(family tag, epoch, payload bytes)``; values are the decoded
-    clocks.  Because kernel clocks are immutable and their codecs are
-    canonical (distinct byte strings never decode equal), handing the same
-    object out for the same payload is sound -- and turns the common
-    anti-entropy case, a peer re-shipping mostly-unchanged metadata every
-    round, into dictionary hits instead of payload decodes.
-
-    The table is bounded: when full, the oldest entry is evicted (FIFO),
-    so a long-lived replication session cannot grow it without limit.
-    """
-
-    __slots__ = ("_table", "_max_entries", "hits", "misses")
-
-    def __init__(self, *, max_entries: int = 65536) -> None:
-        if max_entries <= 0:
-            raise ValueError("an intern table needs room for at least one entry")
-        self._table = {}
-        self._max_entries = max_entries
-        self.hits = 0
-        self.misses = 0
-
-    def __len__(self) -> int:
-        return len(self._table)
-
-    def get(self, key) -> Optional[KernelClock]:
-        clock = self._table.get(key)
-        if clock is None:
-            self.misses += 1
-        else:
-            self.hits += 1
-        return clock
-
-    def put(self, key, clock: KernelClock) -> None:
-        table = self._table
-        if key not in table and len(table) >= self._max_entries:
-            del table[next(iter(table))]
-        table[key] = clock
 
 
 def encode_stream(
@@ -235,20 +195,17 @@ class ClockStream:
     """A decoded stream: lazily materialized, index-cached clock frames.
 
     Supports ``len``, indexing and iteration.  ``stream[i]`` decodes frame
-    ``i`` on first access (through the intern table when one was given)
-    and caches the clock, so a consumer that only inspects a few frames
-    never pays for the rest.
+    ``i`` on first access and caches the clock, so a consumer that only
+    inspects a few frames never pays for the rest.
     """
 
-    __slots__ = ("_info", "_frames", "_clocks", "_decoder", "_tag", "_intern")
+    __slots__ = ("_info", "_frames", "_clocks", "_decoder")
 
-    def __init__(self, info, frames, decoder, tag, intern) -> None:
+    def __init__(self, info, frames, decoder) -> None:
         self._info = info
         self._frames = frames
         self._clocks: List[Optional[KernelClock]] = [None] * len(frames)
         self._decoder = decoder
-        self._tag = tag
-        self._intern = intern
 
     @property
     def info(self) -> StreamInfo:
@@ -285,18 +242,6 @@ class ClockStream:
 
     def _decode(self, index: int) -> KernelClock:
         payload = self._frames[index]
-        intern = self._intern
-        if intern is not None:
-            key = (self._tag, self._info.epoch, bytes(payload))
-            clock = intern.get(key)
-            if clock is not None:
-                return clock
-            clock = self._decode_payload(payload, index)
-            intern.put(key, clock)
-            return clock
-        return self._decode_payload(payload, index)
-
-    def _decode_payload(self, payload, index: int) -> KernelClock:
         try:
             clock = self._decoder(payload, self._info.epoch)
         except ReproError:
@@ -315,15 +260,13 @@ class ClockStream:
         return clock
 
 
-def decode_stream(data, *, intern: Optional[InternTable] = None) -> ClockStream:
+def decode_stream(data) -> ClockStream:
     """Validate a stream's frame table and return its lazy clock sequence.
 
     The header and every frame length are checked up front (truncation and
     trailing bytes are typed errors), but frame *payloads* are not decoded
     until accessed.  A ``memoryview`` argument is handled zero-copy: every
-    frame is a subview of the caller's buffer.  Pass an
-    :class:`InternTable` to make repeated payloads pointer-equal across
-    frames and across streams sharing the table.
+    frame is a subview of the caller's buffer.
     """
     info = _stream_header(data)
     view = data if isinstance(data, memoryview) else memoryview(data)
@@ -350,8 +293,7 @@ def decode_stream(data, *, intern: Optional[InternTable] = None) -> ClockStream:
             f"{total - pos} trailing bytes after the declared "
             f"{info.frame_count} stream frames"
         )
-    entry = family(info.family)
-    return ClockStream(info, frames, entry.decoder, entry.tag, intern)
+    return ClockStream(info, frames, family(info.family).decoder)
 
 
 class IncrementalStreamDecoder:
@@ -374,12 +316,13 @@ class IncrementalStreamDecoder:
       counts fully buffered frames, and trailing bytes beyond the declared
       frames are rejected on the chunk that carries them.
 
-    :meth:`finish` returns the same lazy, intern-aware
-    :class:`ClockStream` that :func:`decode_stream` would have produced
-    for the concatenated bytes -- the two paths are equivalent by
-    construction, which is what lets the service engine share the
-    synchronous engine's merge logic bit for bit.  A decoder that has
-    raised is spent: further use raises :class:`EnvelopeError`.
+    :meth:`finish` returns the same lazy :class:`ClockStream` that
+    :func:`decode_stream` would have produced for the concatenated bytes.
+    A decoder that has raised is spent: further use raises
+    :class:`EnvelopeError`.  The library itself decodes complete bodies
+    with :func:`decode_stream`, so no engine calls this class; the
+    wall-clock benchmark's tracer still wraps :meth:`feed` and
+    :meth:`finish`.
     """
 
     __slots__ = ("_buffer", "_info", "_entry", "_frames", "_pos", "_failed")
@@ -488,11 +431,11 @@ class IncrementalStreamDecoder:
             )
         return len(self._frames)
 
-    def finish(self, *, intern: Optional[InternTable] = None) -> ClockStream:
+    def finish(self) -> ClockStream:
         """The completed stream as a lazy :class:`ClockStream`.
 
-        Equivalent to ``decode_stream(b"".join(chunks), intern=intern)``;
-        raises :class:`EnvelopeTruncatedError` while frames are missing.
+        Equivalent to ``decode_stream(b"".join(chunks))``; raises
+        :class:`EnvelopeTruncatedError` while frames are missing.
         """
         if self._failed:
             raise EnvelopeError("this stream decoder already rejected its input")
@@ -510,4 +453,4 @@ class IncrementalStreamDecoder:
             )
         view = memoryview(bytes(self._buffer))
         frames = [view[start:end] for start, end in self._frames]
-        return ClockStream(info, frames, self._entry.decoder, self._entry.tag, intern)
+        return ClockStream(info, frames, self._entry.decoder)

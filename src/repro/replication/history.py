@@ -126,11 +126,6 @@ class SyncHistory:
         """
         return self._next_seq
 
-    @property
-    def oldest_seq(self) -> Optional[int]:
-        """Sequence number of the oldest retained record (None when empty)."""
-        return self._records[0].seq if self._records else None
-
     def mark_round(self, round_number: int) -> None:
         """Stamp subsequent records with ``round_number``."""
         self.current_round = round_number

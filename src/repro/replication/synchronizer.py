@@ -31,9 +31,8 @@ and ``B`` is up to three transfers:
    decoded, merged, snapshotted or journaled;
 2. *request* -- ``B`` ships the trackers of every other key it holds,
    framed as **one stream per (family, epoch) group**
-   (:mod:`repro.kernel.stream`).  ``A`` decodes them lazily, through a
-   shared :class:`~repro.kernel.stream.InternTable`, and runs the store's
-   per-key merge;
+   (:mod:`repro.kernel.stream`).  ``A`` decodes them lazily, one frame
+   per key as the merge reads it, and runs the store's per-key merge;
 3. *response* -- ``A`` ships back only the trackers that changed, which
    ``B`` installs after decoding, so what a store holds after a wire sync
    has genuinely round-tripped the codec.
@@ -67,15 +66,16 @@ through scheduled loss, duplication, reordering and corruption:
   key one round: the key is skipped and reported as a typed
   :class:`~repro.replication.store.FrameRejected` in the
   :class:`~repro.replication.store.MergeReport`, the rest of the pairwise
-  sync proceeds, and the key heals on a later round (the intern table is
-  never poisoned -- it only admits successfully decoded clocks);
+  sync proceeds, and the key heals on a later round;
 * a *digest* leg lost past the retry budget ends the session untouched,
   every key reported lost like a lost request leg's keys: its outcome
   decides which keys the request leg carries;
 * keys whose *response* leg is lost past the retry budget are rolled back
   on **both** sides to their pre-sync state: a half-installed join/fork
   would strand one half of freshly split identifier space, an I2 hazard
-  that could manufacture false orderings;
+  that could manufacture false orderings.  Every session snapshots the
+  keys the digest leg left before its request leg, so the same rollback
+  also undoes an aborted session (:class:`SessionAbort`);
 * a stale-epoch straggler is *upgraded* instead of rejected: epoch bumps
   only happen at common knowledge (:meth:`AntiEntropy.compact_key`), so
   the merge adopts the newer-epoch state wholesale rather than raising
@@ -104,7 +104,7 @@ from ..core.errors import EncodingError, ReplicationError
 from ..core.order import Ordering
 from ..core.reroot import reroot_group
 from ..kernel.clocks import KernelClock, VersionStampClock
-from ..kernel.stream import ClockStream, InternTable, decode_stream, encode_stream
+from ..kernel.stream import ClockStream, decode_stream, encode_stream
 from .faults import FaultyTransport, RetryPolicy
 from .history import SyncHistory
 from .network import NetworkMeter
@@ -128,11 +128,11 @@ class SessionAbort(Exception):
     A driver that decides a session must not continue -- the service
     interpreter's deadline enforcement -- calls ``session.throw(SessionAbort())``
     at the suspended wire effect.  Every yield of the session generator
-    sits inside a transfer leg, so the abort surfaces at the digest leg,
-    which has changed nothing yet, or at one of the two ``_ship`` calls,
-    where the generator restores both replicas from the
-    session's transactional snapshots and re-raises, guaranteeing the
-    aborted session left no half-merged key behind (the same I2-hazard
+    sits inside a transfer leg, so the abort surfaces at the digest or
+    request leg, which have changed nothing yet, or at the response leg,
+    where the generator restores both replicas from the session's
+    transactional snapshots and re-raises, guaranteeing the aborted
+    session left no half-merged key behind (the same I2-hazard
     discipline the response-loss rollback follows).  The driver then
     reports the abort as a typed
     :class:`~repro.core.errors.SessionTimeout`.
@@ -205,7 +205,7 @@ class WireSyncEngine:
     """Pairwise store synchronization over the kernel wire formats.
 
     Every leg ships one envelope stream per (family, epoch) group and
-    direction, decoded lazily through the shared :attr:`intern` table.
+    direction, decoded lazily frame by frame.
 
     Parameters
     ----------
@@ -258,7 +258,11 @@ class WireSyncEngine:
         history: Optional[SyncHistory] = None,
     ) -> None:
         self.meter = meter if meter is not None else NetworkMeter()
-        self.intern = InternTable()
+        #: Always ``None``: the digest leg left the stream intern table
+        #: this held too little to do (the version-stamp and ITC codecs
+        #: intern payloads themselves).  ``perfbench/tracing.py`` still
+        #: reads it.
+        self.intern = None
         self.transport = transport
         self.retry = retry if retry is not None else RetryPolicy()
         self.verify_checksums = verify_checksums
@@ -392,18 +396,6 @@ class WireSyncEngine:
         self.deliveries_failed += len(pending)
         return results
 
-    def _decode_stream(self, body):
-        """Decode one delivered stream body (the service engine's feed point).
-
-        The base engine decodes the assembled buffer in one call; the
-        service's :class:`~repro.service.engine.AsyncWireSyncEngine`
-        overrides this to feed the body through an
-        :class:`~repro.kernel.stream.IncrementalStreamDecoder` in
-        link-sized chunks, as an async read loop would.  Both return an
-        equivalent lazy ``ClockStream`` over the same intern table.
-        """
-        return decode_stream(memoryview(body), intern=self.intern)
-
     def _ship(
         self,
         sender: StoreReplica,
@@ -439,7 +431,7 @@ class WireSyncEngine:
 
         def validate_stream(index: int, body: bytes):
             (family_name, epoch), members = ordered[index]
-            stream = self._decode_stream(body)
+            stream = decode_stream(memoryview(body))
             # The session's control data (which keys, which group) rides a
             # reliable out-of-band channel; a delivered stream must match
             # its announcement, or bits were flipped in the header.
@@ -484,12 +476,6 @@ class WireSyncEngine:
                 tracker=tracker,
                 independently_created=independent,
             )
-
-    def _restore_session(self, first: StoreReplica, second: StoreReplica, backup) -> None:
-        """Roll every snapshotted key on both sides back to pre-session state."""
-        for key, (mine_snap, theirs_snap) in backup.items():
-            self._restore(first, key, mine_snap)
-            self._restore(second, key, theirs_snap)
 
     @staticmethod
     def _reject(
@@ -551,7 +537,6 @@ class WireSyncEngine:
         second: StoreReplica,
         *,
         keys: Optional[Iterable[str]] = None,
-        abortable: bool = False,
     ):
         """The sans-io pairwise sync: a generator of wire effects.
 
@@ -576,14 +561,12 @@ class WireSyncEngine:
         digest leg lost past the retry budget ends the session with every
         key left untouched and reported ``request-lost``.
 
-        ``abortable`` opts the session into deadline cancellation: the
-        transactional snapshots are taken even on a perfect transport,
-        so a driver may ``throw(SessionAbort())`` at any yielded effect
-        and both replicas roll back to their pre-session state before
-        the abort propagates.  An abort at the digest leg finds nothing
-        changed yet.  The flag exists because snapshots cost memory
-        proportional to the key subset -- drivers without a deadline
-        keep the old zero-overhead path.
+        Any session may be cancelled by ``throw(SessionAbort())`` at any
+        yielded effect, and both replicas are left in their pre-session
+        state when the abort propagates.  An abort at the digest or
+        request leg finds nothing changed yet; one at the response leg
+        restores the transactional snapshots the session took of the
+        keys the digest leg left.
         """
         if first is second:
             raise ReplicationError("a store replica cannot synchronize with itself")
@@ -619,7 +602,7 @@ class WireSyncEngine:
             second._exchanges_open += 1
             try:
                 changed, request_lost, rolled_back = yield from self._exchange(
-                    first, second, pending, report, abortable
+                    first, second, pending, report
                 )
             finally:
                 first._exchanges_open -= 1
@@ -728,7 +711,6 @@ class WireSyncEngine:
         second: StoreReplica,
         keys: List[str],
         report: MergeReport,
-        abortable: bool,
     ):
         """The request and response legs over the keys the digests left.
 
@@ -738,26 +720,19 @@ class WireSyncEngine:
         keys whose request leg was lost, and the changed keys rolled back
         on both sides because their response leg was lost.
         """
-        backup = None
-        if self.transport is not None or abortable:
-            backup = {
-                key: (
-                    self._snapshot(first._keys.get(key)),
-                    self._snapshot(second._keys.get(key)),
-                )
-                for key in keys
-            }
+        backup = {
+            key: (
+                self._snapshot(first._keys.get(key)),
+                self._snapshot(second._keys.get(key)),
+            )
+            for key in keys
+        }
 
         # Request leg: second ships everything it holds to first.  An
         # abort thrown at one of this leg's effects arrives before any
-        # merge ran; the restore is then a no-op, kept for uniformity.
+        # merge ran, so it has nothing to restore.
         held = [(key, second._keys[key]) for key in keys if key in second._keys]
-        try:
-            received = yield from self._ship(second, first, held)
-        except SessionAbort:
-            if backup is not None:
-                self._restore_session(first, second, backup)
-            raise
+        received = yield from self._ship(second, first, held)
 
         changed: List[str] = []
         request_lost: List[str] = []
@@ -788,8 +763,7 @@ class WireSyncEngine:
             except EncodingError as error:
                 # One damaged frame costs this key this round, nothing
                 # more: the group's other frames and the sync's other
-                # keys proceed (and the intern table only ever admits
-                # successfully decoded clocks, so it is not poisoned).
+                # keys proceed.
                 self._reject(report, key, stream, "request", error)
                 continue
             if mine is None:
@@ -817,8 +791,9 @@ class WireSyncEngine:
                 first, second, [(key, second._keys[key]) for key in changed]
             )
         except SessionAbort:
-            if backup is not None:
-                self._restore_session(first, second, backup)
+            for key, (mine_snap, theirs_snap) in backup.items():
+                self._restore(first, key, mine_snap)
+                self._restore(second, key, theirs_snap)
             raise
         rolled_back = set()
         for key in changed:

@@ -8,8 +8,6 @@ bandwidth, jitter, loss and partitions), gossiping the existing batched
 ``"CS"`` stream format, so one machine drives 10^4-10^6 replicas to
 convergence.
 
-* :mod:`~repro.service.engine`      -- :class:`AsyncWireSyncEngine`, the
-  wire engine with incremental (chunked) stream decode;
 * :mod:`~repro.service.links`       -- :class:`LinkProfile` virtual-time
   link costing;
 * :mod:`~repro.service.sharding`    -- :class:`KeyShards` key-range
@@ -25,11 +23,14 @@ convergence.
   (lockstep and overlap modes), schedules, the synchronous reference
   executor and the :func:`build_cluster` population builder.
 
-The service's lockstep mode is proven byte-identical to the synchronous
-:class:`~repro.replication.synchronizer.WireSyncEngine` on identical
-schedules -- see ``tests/service/``.
+Every session runs on a plain
+:class:`~repro.replication.synchronizer.WireSyncEngine`, the engine
+:meth:`~repro.replication.synchronizer.WireSyncEngine.sync` runs too, so
+the service's lockstep mode is byte-identical to the synchronous
+reference on identical schedules -- see ``tests/service/``.
 """
 
+from ..replication.synchronizer import WireSyncEngine
 from .cluster import (
     AntiEntropyService,
     RoundMetrics,
@@ -38,11 +39,16 @@ from .cluster import (
     gossip_schedule,
     replay_schedule_sync,
 )
-from .engine import AsyncWireSyncEngine
 from .health import CircuitBreaker, HealthConfig, HealthMonitor, PeerHealth
 from .interpreter import Interpreter, Job
 from .links import LinkProfile
 from .sharding import KeyShards, shard_keys
+
+#: A name kept for ``perfbench/``, which builds the service's engine with
+#: it: :class:`~repro.replication.synchronizer.WireSyncEngine` itself.
+#: Everything else constructs ``WireSyncEngine`` directly; the alias goes
+#: once the benchmark does too.
+AsyncWireSyncEngine = WireSyncEngine
 
 __all__ = [
     "AntiEntropyService",

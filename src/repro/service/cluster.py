@@ -48,7 +48,6 @@ from ..replication.network import (
 from ..replication.node import MobileNode, replicas_agree
 from ..replication.store import MergeReport
 from ..replication.synchronizer import WireSyncEngine
-from .engine import AsyncWireSyncEngine
 from .health import HealthConfig, HealthMonitor
 from .interpreter import Interpreter, Job
 from .links import LinkProfile
@@ -335,9 +334,7 @@ class _Part(Job):
         part = shard_keys(first, second, service.shards, self.shard)
         if part is not None and not part:
             return None
-        return service.engine.session(
-            first, second, keys=part, abortable=self.deadline is not None
-        )
+        return service.engine.session(first, second, keys=part)
 
     def close(self, interpreter: Interpreter) -> None:
         service, metrics, result = self.service, self.metrics, self.result
@@ -371,9 +368,8 @@ class AntiEntropyService:
     nodes:
         The replica population (see :func:`build_cluster`).
     engine:
-        The wire engine shared by every session; defaults to a fresh
-        :class:`~repro.service.engine.AsyncWireSyncEngine` (incremental
-        stream decode).  Give it a
+        The :class:`~repro.replication.synchronizer.WireSyncEngine`
+        shared by every session; a fresh one when omitted.  Give it a
         :class:`~repro.replication.faults.FaultyTransport` to gossip over
         a lossy fabric.
     shards:
@@ -430,7 +426,7 @@ class AntiEntropyService:
     ) -> None:
         self.checker = checker
         self.nodes: List[MobileNode] = list(nodes)
-        self.engine = engine if engine is not None else AsyncWireSyncEngine()
+        self.engine = engine if engine is not None else WireSyncEngine()
         self.shards = KeyShards(shards)
         self.link = link if link is not None else LinkProfile()
         self.lockstep = lockstep

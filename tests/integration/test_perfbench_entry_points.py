@@ -8,6 +8,7 @@ job.  The modules are loaded by file path, unedited.
 """
 
 import importlib.util
+import json
 import re
 import sys
 from pathlib import Path
@@ -18,8 +19,11 @@ from repro import kernel
 from repro.durability.log import DurableLog
 from repro.replication import KeepBoth, KernelTracker
 from repro.replication.synchronizer import WireSyncEngine
+from repro.service import AsyncWireSyncEngine
 
-PERFBENCH = Path(__file__).resolve().parents[2] / "perfbench"
+ROOT = Path(__file__).resolve().parents[2]
+PERFBENCH = ROOT / "perfbench"
+BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
 
 
 @pytest.fixture(scope="module")
@@ -83,6 +87,30 @@ def test_every_workload_builds_digests_and_closes(perfbench, tmp_path):
             workload.close()
 
 
+@pytest.mark.parametrize(
+    "name", [workload["name"] for workload in BENCHMARK["workloads"]]
+)
+def test_the_tracer_reads_every_layer_metric(perfbench, tmp_path, name):
+    # The traced step reads engine counters (``intern``,
+    # ``equal_cache_hits`` among them) that only the benchmark uses.
+    tracing, workloads = perfbench
+    workload = workloads.build(name, 1001, str(tmp_path))
+    try:
+        metrics, _ = tracing.layer_metrics(
+            tracing.Tracer(), workload, tracing.engine_counters(workload), 1.0
+        )
+    finally:
+        workload.close()
+    # 55 of the 56 declared per-layer metrics: run.py adds
+    # trace.overhead_s across passes.
+    declared = {metric["name"] for metric in BENCHMARK["per_layer"]}
+    assert set(metrics) == declared - {"trace.overhead_s"}
+
+
 @pytest.mark.parametrize("family", kernel.families())
 def test_the_factory_alias_builds_seed_clocks(family):
     assert KernelTracker.factory(family)() == kernel.make(family)
+
+
+def test_the_service_engine_alias_is_the_wire_engine():
+    assert AsyncWireSyncEngine is WireSyncEngine

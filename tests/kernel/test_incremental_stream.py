@@ -21,7 +21,6 @@ from repro.core.errors import (
 from repro.kernel.stream import (
     STREAM_HEADER_SIZE,
     IncrementalStreamDecoder,
-    InternTable,
     decode_stream,
     encode_stream,
 )
@@ -89,17 +88,6 @@ class TestEquivalence:
             assert ready >= seen
             seen = ready
         assert seen == 3
-
-    def test_shared_intern_table(self, family):
-        batch, blob = _sample_blob(family, size=1)
-        table = InternTable()
-        first = IncrementalStreamDecoder()
-        first.feed(blob)
-        second = IncrementalStreamDecoder()
-        second.feed(blob)
-        one = first.finish(intern=table)[0]
-        two = second.finish(intern=table)[0]
-        assert one is two
 
 
 class TestEarlyRejection:

@@ -10,9 +10,8 @@ The contract under test:
 * any truncation or corruption of a stream is rejected with a *typed*
   :class:`~repro.core.errors.EncodingError` subclass, never a raw
   ``struct``/``IndexError``/``KeyError``;
-* frames decode lazily and, through an :class:`InternTable`, repeated
-  payloads are pointer-equal within a batch and across batches sharing the
-  table;
+* frames decode lazily, and repeated payloads in one batch decode to
+  equal clocks;
 * :func:`stream_info` reads family/epoch/count from the 12-byte header
   alone (a partial buffer is enough) and accepts ``memoryview`` input
   without copying.
@@ -36,7 +35,6 @@ from repro.kernel.stream import (
     STREAM_FORMAT_VERSION,
     STREAM_HEADER_SIZE,
     STREAM_MAGIC,
-    InternTable,
     decode_stream,
     encode_stream,
     stream_info,
@@ -208,42 +206,6 @@ class TestRejection:
 
 
 class TestInterning:
-    def test_repeats_are_pointer_equal_within_a_batch(self):
-        clock = kernel.make("version-stamp").event()
-        stream = decode_stream(
-            encode_stream([clock, clock, clock]), intern=InternTable()
-        )
-        assert stream[0] is stream[1] is stream[2]
-
-    def test_repeats_are_pointer_equal_across_batches(self):
-        clock = kernel.make("itc").event()
-        table = InternTable()
-        first = decode_stream(encode_stream([clock]), intern=table)
-        second = decode_stream(encode_stream([clock]), intern=table)
-        assert first[0] is second[0]
-        assert table.hits == 1
-
-    def test_epoch_partitions_the_table(self):
-        # Same payload, different epoch: must NOT be pointer-equal (the
-        # epoch lives in the header, outside the frame payload).
-        clock = kernel.make("itc").event()
-        table = InternTable()
-        first = decode_stream(encode_stream([clock]), intern=table)
-        second = decode_stream(
-            encode_stream([clock.with_epoch(5)]), intern=table
-        )
-        assert first[0] is not second[0]
-        assert first[0].epoch == 0 and second[0].epoch == 5
-
-    def test_table_is_bounded(self):
-        table = InternTable(max_entries=2)
-        clocks = [kernel.make("version-stamp")]
-        for _ in range(4):
-            clocks.append(clocks[-1].event())
-        for clock in clocks:
-            decode_stream(encode_stream([clock]), intern=table)
-        assert len(table) <= 2
-
     def test_interning_is_optional(self):
         clock = kernel.make("version-stamp").event()
         stream = decode_stream(encode_stream([clock, clock]))

@@ -172,9 +172,36 @@ def test_settled_keys_are_recorded_as_synced(family):
 def test_an_abort_at_the_digest_leg_leaves_both_sides_untouched(family):
     first, second = _pair(family)
     before = (_store_bytes(first), _store_bytes(second))
-    session = WireSyncEngine().session(first, second, abortable=True)
+    session = WireSyncEngine().session(first, second)
     effect = next(session)
     assert effect == TransferEffect("a", "b", 1, 16 * 4)
+    with pytest.raises(SessionAbort):
+        session.throw(SessionAbort())
+    assert (_store_bytes(first), _store_bytes(second)) == before
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_an_abort_at_the_response_leg_rolls_a_default_session_back(family):
+    first, second = _pair(family)
+    # Changed keys on both sides: k0 (first), k1 (second), k2 (both,
+    # concurrently), plus one key each side lacks.
+    second.put("k1", "theirs")
+    first.put("k2", "mine")
+    second.put("k2", "theirs")
+    first.put("only-a", "x")
+    second.put("only-b", "y")
+    before = (_store_bytes(first), _store_bytes(second))
+    # No transport and no deadline: the plainest session there is.
+    session = WireSyncEngine().session(first, second)
+    legs = [next(session) for _ in range(3)]
+    assert all(isinstance(effect, TransferEffect) for effect in legs)
+    # Digest, request, then the response leg, after the merge ran.
+    assert [(effect.source, effect.destination) for effect in legs] == [
+        ("a", "b"),
+        ("b", "a"),
+        ("a", "b"),
+    ]
+    assert first.get("k1") == ["theirs"]  # merged in memory
     with pytest.raises(SessionAbort):
         session.throw(SessionAbort())
     assert (_store_bytes(first), _store_bytes(second)) == before

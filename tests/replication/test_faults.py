@@ -312,8 +312,8 @@ class TestSkipAndReport:
 
         The damaged frame produces a typed ``FrameRejected`` entry; the
         group's other frames and the sync's other keys merge normally,
-        the local state of the rejected key survives, the intern table is
-        not poisoned, and the next clean sync heals the key.
+        the local state of the rejected key survives, and the next clean
+        sync heals the key.
         """
         transport = _RequestFrameCorruptor(FullyConnectedNetwork(), seed=31)
         engine = WireSyncEngine(

@@ -78,7 +78,7 @@ class TestSyncHistoryUnit:
             engine.sync(a.store, b.store)
         assert len(history) == 3
         assert history.evicted == 2
-        assert history.oldest_seq == 2
+        assert history.records()[0].seq == 2
         assert history.next_seq == 5
 
     def test_since_window(self):

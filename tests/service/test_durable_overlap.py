@@ -15,8 +15,7 @@ from repro import kernel
 from repro.durability.inspect import inspect_path
 from repro.replication import MobileNode, StoreReplica
 from repro.replication.network import FullyConnectedNetwork
-from repro.service import AntiEntropyService, LinkProfile
-from repro.service.engine import AsyncWireSyncEngine
+from repro.service import AntiEntropyService, AsyncWireSyncEngine, LinkProfile
 from repro.service.sharding import KeyShards
 
 FAMILIES = kernel.families()

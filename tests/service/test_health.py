@@ -331,9 +331,7 @@ def _digest(nodes):
 def _drive(nodes, link, deadline, link_seed=1):
     """Run one session between the two nodes; returns (job, virtual time)."""
     first, second = nodes
-    session = AsyncWireSyncEngine().session(
-        first.store, second.store, abortable=deadline is not None
-    )
+    session = AsyncWireSyncEngine().session(first.store, second.store)
     job = Job(((first.node_id, 0), (second.node_id, 0)), session, deadline=deadline)
     interpreter = Interpreter(link=link, link_rng=random.Random(link_seed))
     interpreter.submit(job)

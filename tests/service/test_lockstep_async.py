@@ -88,8 +88,6 @@ class TestLockstepEquality:
         service.run(schedule=schedule, until_converged=False)
         assert digest(async_nodes) == digest(sync_nodes)
         assert meter_state(async_engine.meter) == meter_state(sync_engine.meter)
-        # The incremental decoder really was on the async path.
-        assert async_engine.chunks_fed > 0
 
     def test_round_by_round_digests_match(self, family):
         sync_nodes, _ = build_cluster(REPLICAS, keys=KEYS, family=family, seed=2)
