@@ -48,8 +48,8 @@ def _partitioned_scenario():
     nodes.append(b2)
 
     gossip = AntiEntropy(nodes, rng=random.Random(42))
-    gossip.run(6)  # advance past the partition phase
-    rounds = gossip.rounds_to_convergence(max_rounds=40)
+    gossip.run(6, until_converged=False)  # advance past the partition phase
+    rounds = gossip.run(40).converged_after
     return nodes, gossip, rounds
 
 
@@ -136,7 +136,7 @@ def test_anti_entropy_convergence_scaling(benchmark, experiment):
             for index, node in enumerate(nodes):
                 node.write(f"key-{index}", index)
             gossip = AntiEntropy(nodes, rng=random.Random(population))
-            results[population] = gossip.rounds_to_convergence(max_rounds=60)
+            results[population] = gossip.run(60).converged_after
         return results
 
     results = benchmark.pedantic(run, rounds=1, iterations=1)

@@ -72,12 +72,12 @@ def main() -> None:
         print("  dynamic version vectors refused: identifier authority unreachable")
 
     gossip = AntiEntropy(nodes, rng=random.Random(1))
-    gossip.run(6)  # runs inside the partition; the network then heals
+    gossip.run(6, until_converged=False)  # runs inside the partition; the network then heals
     print("\nWhile partitioned:")
     print(f"  hq sees contact:carol      -> {hq.read('contact:carol') or 'not yet replicated'}")
     print(f"  phone sees contact:alice   -> {phone.read('contact:alice')}")
 
-    rounds = gossip.rounds_to_convergence(max_rounds=40)
+    rounds = len(gossip.run(40).rounds)
     print(f"\nPartition healed; converged after {rounds} more gossip rounds.")
 
     print("\nAfter reconciliation:")
@@ -90,7 +90,7 @@ def main() -> None:
 
     # A later write resolves the conflict everywhere.
     hq.write("contact:alice", "alice@resolved.example.org")
-    gossip.rounds_to_convergence(max_rounds=20)
+    gossip.run(20)
     print("\nAfter hq resolves the conflict with a new write:")
     for node in nodes:
         print(f"  {node.node_id:8s} contact:alice = {node.read('contact:alice')}")

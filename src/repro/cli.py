@@ -426,7 +426,7 @@ def _cmd_contracts(args: argparse.Namespace) -> int:
     pipeline_a.write("dataset", "export #1")
     while not gossip.converged():
         gossip.run_round()
-    print(f"healthy fabric: 'export #1' replicated in {len(gossip.reports)} round(s)")
+    print(f"healthy fabric: 'export #1' replicated in {len(gossip.rounds)} round(s)")
 
     # Act 2: export #2 lands while the fabric chaos-fails.  The outage
     # window rides the transport's transfer counter, so the first
@@ -442,7 +442,7 @@ def _cmd_contracts(args: argparse.Namespace) -> int:
         f"chaos fabric (loss={args.loss:.0%}, outage for the first "
         f"{args.outage} transfers): 'export #2' written at pipeline-a"
     )
-    gossip.run(args.rounds)
+    gossip.run(args.rounds, until_converged=False)
     print(f"ran {args.rounds} gossip round(s); pipeline-b now runs 'train'")
 
     reports = checker.check("train", raise_on_violation=False)

@@ -48,6 +48,7 @@ from .store import FrameRejected, MergeReport, StoreReplica
 from .synchronizer import (
     AntiEntropy,
     RoundReport,
+    RunReport,
     SessionAbort,
     SleepEffect,
     TransferEffect,
@@ -99,6 +100,7 @@ __all__ = [
     "MobileNode",
     "AntiEntropy",
     "RoundReport",
+    "RunReport",
     "WireSyncEngine",
     "SyncHistory",
     "ExchangeRecord",

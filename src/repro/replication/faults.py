@@ -281,6 +281,11 @@ class FaultyTransport:
             if other not in self._crashed
         }
 
+    def partitions(self, nodes: Iterable[str]) -> List[Set[str]]:
+        """Connected components of the uncrashed ``nodes`` on the wrapped network."""
+        live = [node for node in nodes if node not in self._crashed]
+        return self.network.partitions(live)
+
     def advance(self, steps: int = 1) -> None:
         """Advance the wrapped network's simulated time."""
         self.network.advance(steps)

@@ -44,7 +44,6 @@ class MobileNode:
         self.node_id = node_id
         self.store = store
         self.network = network
-        self.sync_attempts = 0
         self.sync_failures = 0
         #: Crash flag: a dead node neither gossips nor answers peers.
         self.alive = True
@@ -156,12 +155,11 @@ class MobileNode:
             return False
         return self.network.can_communicate(self.node_id, other.node_id)
 
-    def sync_with(self, other: "MobileNode", *, engine=None) -> MergeReport:
+    def sync_with(self, other: "MobileNode") -> MergeReport:
         """Synchronize stores with ``other`` if the network allows it.
 
-        The exchange runs on ``engine`` (a :class:`~repro.replication.
-        synchronizer.WireSyncEngine`), or on a fresh one when omitted
-        (:meth:`StoreReplica.sync_with`).
+        The exchange is :meth:`StoreReplica.sync_with`, a session on a
+        fresh wire engine.
 
         Raises
         ------
@@ -170,14 +168,11 @@ class MobileNode:
             or the engine rejects the stores (e.g. trackers without a
             byte form).
         """
-        self.sync_attempts += 1
         if not self.can_reach(other):
             self.sync_failures += 1
             raise ReplicationError(
                 f"nodes {self.node_id!r} and {other.node_id!r} are partitioned"
             )
-        if engine is not None:
-            return engine.sync(self.store, other.store)
         return self.store.sync_with(other.store)
 
     def __repr__(self) -> str:

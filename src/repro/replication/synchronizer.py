@@ -10,18 +10,18 @@ objects and a :class:`~repro.replication.network.SimulatedNetwork`:
 * partitions and crashed nodes simply limit who can be picked, so progress
   continues independently inside every partition -- the paper's partitioned
   operation;
-* the collected :class:`RoundReport` objects let benchmarks measure how many
-  rounds convergence takes, how many conflicts were detected, and -- under a
+* every round leaves a :class:`RoundReport` and every run a
+  :class:`RunReport`, which let benchmarks measure how many rounds
+  convergence takes, how many conflicts were detected, and -- under a
   fault-injecting transport -- the effective goodput of the exchange.
 
 The wire sync engine
 --------------------
 :class:`WireSyncEngine` is the one pairwise synchronization: every piece
 of causal metadata a sync moves actually crosses a wire boundary as bytes.
-:meth:`StoreReplica.sync_with`, :meth:`MobileNode.sync_with` and
-:class:`AntiEntropy` (with or without ``engine=``) all run its
-:meth:`~WireSyncEngine.session`.  A reconciliation between stores ``A``
-and ``B`` is up to three transfers:
+:meth:`StoreReplica.sync_with`, :meth:`MobileNode.sync_with` and both
+gossip drivers run its :meth:`~WireSyncEngine.session`.  A reconciliation
+between stores ``A`` and ``B`` is up to three transfers:
 
 1. *digest* -- ``A`` ships a 128-bit digest of every key both sides hold
    (:meth:`~repro.replication.store.KeyState.digest`: family, epoch, the
@@ -87,11 +87,13 @@ from __future__ import annotations
 
 import random
 import zlib
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import (
     Callable,
     Dict,
     Iterable,
+    Iterator,
     List,
     NamedTuple,
     Optional,
@@ -107,12 +109,13 @@ from ..kernel.clocks import KernelClock, VersionStampClock
 from ..kernel.stream import ClockStream, decode_stream, encode_stream
 from .faults import FaultyTransport, RetryPolicy
 from .history import SyncHistory
-from .network import NetworkMeter
+from .network import NetworkMeter, nearest_rank
 from .node import MobileNode, replicas_agree
 from .store import DIGEST_BYTES, FrameRejected, KeyState, MergeReport, StoreReplica
 
 __all__ = [
     "RoundReport",
+    "RunReport",
     "AntiEntropy",
     "WireSyncEngine",
     "SleepEffect",
@@ -169,15 +172,23 @@ class TransferEffect(NamedTuple):
 
 @dataclass
 class RoundReport:
-    """What happened during one anti-entropy round."""
+    """What one gossip round did, in counters and virtual time.
 
-    round_number: int
+    Both drivers fill it; ``empty_parts``, ``virtual_duration`` and the
+    health counters stay zero on the synchronous one.
+    """
+
+    number: int
+    #: Sessions that ran (the initiator could reach its peer).
     exchanges: int = 0
-    skipped_partitioned: int = 0
-    conflicts_detected: int = 0
-    values_exchanged: int = 0
-    #: Wire traffic of the round.
-    messages_sent: int = 0
+    #: Initiators that gossiped with nobody: partitioned or crashed.
+    skipped: int = 0
+    #: Shard parts skipped because the shard spanned no keys for the pair.
+    empty_parts: int = 0
+    #: Merge outcome folded over every session of the round.
+    merge: MergeReport = field(default_factory=MergeReport)
+    #: Wire traffic of the round, compaction sweeps included.
+    messages: int = 0
     bytes_sent: int = 0
     #: Fault economy of the round (all zero on a perfect transport).
     dropped: int = 0
@@ -187,18 +198,129 @@ class RoundReport:
     retry_latency: float = 0.0
     #: Accepted payload bytes over sent bytes for this round's traffic.
     goodput: float = 0.0
-    #: Frames skipped via :class:`~repro.replication.store.FrameRejected`.
-    frames_rejected: int = 0
-    #: Stale-epoch stragglers fiat-upgraded during this round's merges.
-    epoch_upgrades: int = 0
+    #: Virtual seconds the round occupied (longest chain in overlap mode).
+    virtual_duration: float = 0.0
+    #: Whether every live replica agreed after this round (set by ``run``).
+    converged: bool = False
+    #: Sessions aborted at their adaptive deadline (health layer on).
+    timeouts: int = 0
+    #: Sessions refused by an open per-peer circuit breaker.
+    breaker_skips: int = 0
+    #: Hedged (backup-peer) sessions launched after a primary timeout.
+    hedges: int = 0
 
-    def record(self, merge: MergeReport) -> None:
-        """Fold one pairwise merge into the round statistics."""
-        self.exchanges += 1
-        self.conflicts_detected += merge.conflicts_detected
-        self.values_exchanged += merge.values_taken
-        self.frames_rejected += len(merge.frames_rejected)
-        self.epoch_upgrades += merge.epoch_upgrades
+
+@dataclass
+class RunReport:
+    """Summary of one ``run()`` of either gossip driver."""
+
+    replicas: int
+    rounds: List[RoundReport]
+    #: First round after which the cluster was converged (None: never).
+    converged_after: Optional[int]
+    meter: NetworkMeter
+    shards: int = 1
+    #: Virtual seconds the run took (0.0 for the immediate-time driver).
+    virtual_seconds: float = 0.0
+    #: Aggregate health counters (``HealthMonitor.counters()``) captured
+    #: when the run finished; ``None`` when the health layer was off.
+    health: Optional[Dict[str, int]] = None
+
+    @property
+    def total_exchanges(self) -> int:
+        return sum(r.exchanges for r in self.rounds)
+
+    @property
+    def total_messages(self) -> int:
+        return sum(r.messages for r in self.rounds)
+
+    @property
+    def total_bytes(self) -> int:
+        return sum(r.bytes_sent for r in self.rounds)
+
+    @property
+    def total_timeouts(self) -> int:
+        return sum(r.timeouts for r in self.rounds)
+
+    @property
+    def total_breaker_skips(self) -> int:
+        return sum(r.breaker_skips for r in self.rounds)
+
+    @property
+    def total_hedges(self) -> int:
+        return sum(r.hedges for r in self.rounds)
+
+    def bytes_per_key(self, key_count: int) -> float:
+        """Payload bytes spent per logical key over the whole run."""
+        return self.total_bytes / max(1, key_count)
+
+    def bytes_per_key_per_replica(self, key_count: int) -> float:
+        """Payload bytes per key per replica -- the scale-honest cost."""
+        return self.total_bytes / (max(1, key_count) * max(1, self.replicas))
+
+    def round_duration_percentiles(
+        self, quantiles: Sequence[float] = (0.5, 0.9, 0.99)
+    ) -> Dict[float, float]:
+        """Nearest-rank percentiles of per-round virtual durations."""
+        return nearest_rank([r.virtual_duration for r in self.rounds], quantiles)
+
+    def session_latency_percentiles(
+        self, quantiles: Sequence[float] = (0.5, 0.9, 0.99)
+    ) -> Dict[float, float]:
+        """Tail latency of individual transfer legs, from the meter."""
+        return self.meter.latency_percentiles(quantiles)
+
+    def as_dict(self) -> Dict[str, object]:
+        """A JSON-serializable view of the whole run (``--json`` output).
+
+        Everything a dashboard or regression script needs: totals, the
+        fault economy, per-round counters, tail percentiles and -- when
+        the health layer ran -- its aggregate counters.
+        """
+        meter = self.meter
+        return {
+            "replicas": self.replicas,
+            "shards": self.shards,
+            "converged_after": self.converged_after,
+            "virtual_seconds": self.virtual_seconds,
+            "totals": {
+                "exchanges": self.total_exchanges,
+                "messages": self.total_messages,
+                "bytes_sent": self.total_bytes,
+                "timeouts": self.total_timeouts,
+                "breaker_skips": self.total_breaker_skips,
+                "hedges": self.total_hedges,
+            },
+            "faults": {
+                "dropped": meter.dropped,
+                "duplicated": meter.duplicated,
+                "retried": meter.retried,
+                "corrupted": meter.corrupted,
+                "retry_latency": meter.retry_latency,
+            },
+            "round_duration_percentiles": {
+                str(q): v for q, v in self.round_duration_percentiles().items()
+            },
+            "session_latency_percentiles": {
+                str(q): v for q, v in self.session_latency_percentiles().items()
+            },
+            "health": self.health,
+            "rounds": [
+                {
+                    "number": r.number,
+                    "exchanges": r.exchanges,
+                    "skipped": r.skipped,
+                    "timeouts": r.timeouts,
+                    "breaker_skips": r.breaker_skips,
+                    "hedges": r.hedges,
+                    "messages": r.messages,
+                    "bytes_sent": r.bytes_sent,
+                    "virtual_duration": r.virtual_duration,
+                    "converged": r.converged,
+                }
+                for r in self.rounds
+            ],
+        }
 
 
 class WireSyncEngine:
@@ -825,6 +947,10 @@ class AntiEntropy:
     round's real message, byte and fault counts.  Pass an engine to choose
     a faulty transport or a sync history.
 
+    This is the one gossip driver, running rounds in immediate time;
+    :class:`~repro.service.cluster.AntiEntropyService` is the subclass
+    that runs them on a virtual clock.
+
     With ``compact_threshold_bits`` set, every round ends with a
     decentralized re-rooting sweep: any key whose causal metadata exceeds
     the threshold on some holder is compacted via :meth:`compact_key` --
@@ -851,7 +977,8 @@ class AntiEntropy:
         #: of only at explicit operation boundaries.  A scan reports each
         #: violation when it opens or changes and each heal once.
         self.checker = checker
-        self.reports: List[RoundReport] = []
+        #: The report of every round this driver ran, across ``run`` calls.
+        self.rounds: List[RoundReport] = []
         #: Successful epoch-bump compactions performed so far.
         self.compactions = 0
         #: Compaction attempts (a verify step may abort one harmlessly).
@@ -894,60 +1021,133 @@ class AntiEntropy:
 
     # -- rounds ------------------------------------------------------------
 
-    def run_round(self) -> RoundReport:
-        """Run one gossip round: every live node tries to sync with one peer."""
-        report = RoundReport(round_number=len(self.reports) + 1)
+    @contextmanager
+    def _round(self) -> Iterator[RoundReport]:
+        """The round skeleton both drivers share, around a round's body.
+
+        Numbers the round and marks the sync history; after the body,
+        records the meter's deltas and goodput, appends the report and
+        scans the checker.  A body that raises leaves no report behind.
+        """
+        report = RoundReport(number=len(self.rounds) + 1)
         engine = self.engine
         if engine.history is not None:
-            engine.history.mark_round(report.round_number)
+            engine.history.mark_round(report.number)
         meter = engine.meter
-        before = (
-            meter.messages,
-            meter.bytes_sent,
-            meter.bytes_delivered,
-            meter.fault_snapshot(),
-        )
-        order = list(self.nodes)
-        self._rng.shuffle(order)
-        for node in order:
-            if not node.alive:
-                continue
-            peers = [other for other in self.nodes if other is not node and other.alive]
-            if not peers:
-                continue
-            reachable = [other for other in peers if node.can_reach(other)]
-            if not reachable:
-                report.skipped_partitioned += 1
-                continue
-            peer = self._rng.choice(reachable)
-            report.record(node.sync_with(peer, engine=engine))
-        if self.compact_threshold_bits is not None:
-            self._auto_compact()
-        report.messages_sent = meter.messages - before[0]
-        report.bytes_sent = meter.bytes_sent - before[1]
-        delivered = meter.bytes_delivered - before[2]
-        dropped, duplicated, retried, corrupted, latency = before[3]
+        messages, sent = meter.snapshot()
+        delivered = meter.bytes_delivered
+        dropped, duplicated, retried, corrupted, latency = meter.fault_snapshot()
+        yield report
+        report.messages = meter.messages - messages
+        report.bytes_sent = meter.bytes_sent - sent
         report.dropped = meter.dropped - dropped
         report.duplicated = meter.duplicated - duplicated
         report.retried = meter.retried - retried
         report.corrupted = meter.corrupted - corrupted
         report.retry_latency = meter.retry_latency - latency
-        report.goodput = (
-            delivered / report.bytes_sent if report.bytes_sent > 0 else 0.0
-        )
-        self.reports.append(report)
+        if report.bytes_sent > 0:
+            report.goodput = (meter.bytes_delivered - delivered) / report.bytes_sent
+        self.rounds.append(report)
         if self.checker is not None:
             self.checker.scan()
+
+    def _schedule_round(self, report: RoundReport) -> List[Tuple[int, int]]:
+        """One seeded gossip round: each live node draws a peer it can reach.
+
+        O(N) reachability checks per node, so O(N^2) per round.  A node
+        whose live peers are all out of reach counts in ``report.skipped``.
+        """
+        nodes = self.nodes
+        order = list(range(len(nodes)))
+        self._rng.shuffle(order)
+        live = [index for index, node in enumerate(nodes) if node.alive]
+        pairs: List[Tuple[int, int]] = []
+        for initiator in order:
+            node = nodes[initiator]
+            if not node.alive or len(live) < 2:
+                continue
+            reachable = [
+                index
+                for index in live
+                if index != initiator and node.can_reach(nodes[index])
+            ]
+            if reachable:
+                pairs.append((initiator, self._rng.choice(reachable)))
+            else:
+                report.skipped += 1
+        return pairs
+
+    def _reachable(
+        self, report: RoundReport, pairs: Sequence[Tuple[int, int]]
+    ) -> List[Tuple[int, int]]:
+        """The ``pairs`` that can reach each other; the rest count as skipped."""
+        nodes = self.nodes
+        ready = [pair for pair in pairs if nodes[pair[0]].can_reach(nodes[pair[1]])]
+        report.exchanges += len(ready)
+        report.skipped += len(pairs) - len(ready)
+        return ready
+
+    def run_round(self) -> RoundReport:
+        """Run one gossip round in immediate time.
+
+        Each drawn pair that can reach each other runs one engine session
+        in draw order; then, if ``compact_threshold_bits`` is set, so
+        does the compaction sweep.
+        """
+        nodes, sync = self.nodes, self.engine.sync
+        with self._round() as report:
+            pairs = self._reachable(report, self._schedule_round(report))
+            for initiator, peer in pairs:
+                report.merge += sync(nodes[initiator].store, nodes[peer].store)
+            if self.compact_threshold_bits is not None:
+                self._auto_compact()
         return report
 
-    def run(self, rounds: int, *, advance_network: bool = True) -> List[RoundReport]:
-        """Run several rounds, optionally advancing the network between them."""
-        results = []
-        for _ in range(rounds):
-            results.append(self.run_round())
+    def run(
+        self,
+        max_rounds: int,
+        *,
+        until_converged: bool = True,
+        advance_network: bool = True,
+        on_round: Optional[Callable[[RoundReport], None]] = None,
+    ) -> RunReport:
+        """Run up to ``max_rounds`` gossip rounds.
+
+        Each round's report records whether every live replica agrees
+        after it, and ``until_converged`` stops the run at the first that
+        does.  ``advance_network`` steps the network's simulated time
+        after every round; ``on_round`` is called with each report.
+        """
+        rounds = (self.run_round() for _ in range(max_rounds))
+        return self._run(rounds, until_converged, advance_network, on_round)
+
+    def _run(
+        self,
+        played: Iterable[RoundReport],
+        until_converged: bool,
+        advance_network: bool,
+        on_round: Optional[Callable[[RoundReport], None]],
+    ) -> RunReport:
+        """The loop of :meth:`run`; each item of ``played`` runs one round."""
+        rounds: List[RoundReport] = []
+        converged_after: Optional[int] = None
+        for report in played:
+            report.converged = self.converged()
+            if report.converged and converged_after is None:
+                converged_after = report.number
+            rounds.append(report)
+            if on_round is not None:
+                on_round(report)
             if advance_network and self.nodes:
                 self.nodes[0].network.advance()
-        return results
+            if until_converged and report.converged:
+                break
+        return RunReport(
+            replicas=len(self.nodes),
+            rounds=rounds,
+            converged_after=converged_after,
+            meter=self.engine.meter,
+        )
 
     # -- decentralized re-rooting (epoch gossip) ---------------------------
 
@@ -1102,25 +1302,9 @@ class AntiEntropy:
         """True when every live node holds the same siblings for every key."""
         return replicas_agree(self.nodes, keys)
 
-    def rounds_to_convergence(
-        self, max_rounds: int, *, advance_network: bool = True
-    ) -> Optional[int]:
-        """Run until convergence and return the number of rounds needed.
-
-        Returns ``None`` when convergence was not reached within
-        ``max_rounds`` (e.g. because partitions never healed).
-        """
-        for round_number in range(1, max_rounds + 1):
-            self.run_round()
-            if advance_network and self.nodes:
-                self.nodes[0].network.advance()
-            if self.converged():
-                return round_number
-        return None
-
     def total_conflicts(self) -> int:
         """Total conflicts detected across all rounds so far."""
-        return sum(report.conflicts_detected for report in self.reports)
+        return sum(report.merge.conflicts_detected for report in self.rounds)
 
     def total_metadata_bits(self) -> int:
         """Total causal-metadata footprint across the node population."""

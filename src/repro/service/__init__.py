@@ -19,9 +19,10 @@ convergence.
   :class:`HealthMonitor` accrual failure detection, adaptive per-peer
   deadlines, :class:`CircuitBreaker` gating and the health-weighted
   gossip draw;
-* :mod:`~repro.service.cluster`     -- :class:`AntiEntropyService`
-  (lockstep and overlap modes), schedules, the synchronous reference
-  executor and the :func:`build_cluster` population builder.
+* :mod:`~repro.service.cluster`     -- :class:`AntiEntropyService`, the
+  :class:`~repro.replication.synchronizer.AntiEntropy` driver on the
+  virtual clock (lockstep and overlap modes), schedules, the synchronous
+  reference executor and the :func:`build_cluster` population builder.
 
 Every session runs on a plain
 :class:`~repro.replication.synchronizer.WireSyncEngine`, the engine
@@ -33,8 +34,6 @@ reference on identical schedules -- see ``tests/service/``.
 from ..replication.synchronizer import WireSyncEngine
 from .cluster import (
     AntiEntropyService,
-    RoundMetrics,
-    ServiceReport,
     build_cluster,
     gossip_schedule,
     replay_schedule_sync,
@@ -61,8 +60,6 @@ __all__ = [
     "KeyShards",
     "LinkProfile",
     "PeerHealth",
-    "RoundMetrics",
-    "ServiceReport",
     "build_cluster",
     "gossip_schedule",
     "replay_schedule_sync",

@@ -33,21 +33,21 @@ over 10^4-10^6 replicas costs O(N), not O(N^2).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .. import kernel
 from ..core.errors import SessionTimeout
 from ..replication.degradation import DegradationState
-from ..replication.network import (
-    FullyConnectedNetwork,
-    NetworkMeter,
-    SimulatedNetwork,
-    nearest_rank,
-)
-from ..replication.node import MobileNode, replicas_agree
+from ..replication.network import FullyConnectedNetwork, SimulatedNetwork
+from ..replication.node import MobileNode
 from ..replication.store import MergeReport
-from ..replication.synchronizer import WireSyncEngine
+from ..replication.synchronizer import (
+    AntiEntropy,
+    RoundReport,
+    RunReport,
+    WireSyncEngine,
+)
 from .health import HealthConfig, HealthMonitor
 from .interpreter import Interpreter, Job
 from .links import LinkProfile
@@ -55,8 +55,6 @@ from .sharding import KeyShards, shard_keys
 
 __all__ = [
     "AntiEntropyService",
-    "RoundMetrics",
-    "ServiceReport",
     "build_cluster",
     "gossip_schedule",
     "replay_schedule_sync",
@@ -64,147 +62,6 @@ __all__ = [
 
 #: One gossip round: (initiator index, peer index) session pairs, in order.
 SyncSchedule = List[List[Tuple[int, int]]]
-
-
-@dataclass
-class RoundMetrics:
-    """What one service round did, in counters and virtual time."""
-
-    number: int
-    #: Sessions that actually ran (initiator could reach its peer).
-    exchanges: int = 0
-    #: Sessions skipped because the pair was partitioned or crashed.
-    skipped: int = 0
-    #: Shard parts skipped because the shard spanned no keys for the pair.
-    empty_parts: int = 0
-    #: Merge outcome folded over every session of the round.
-    merge: MergeReport = field(default_factory=MergeReport)
-    #: Transport messages / payload bytes attributed to this round.
-    messages: int = 0
-    bytes_sent: int = 0
-    #: Virtual seconds the round occupied (longest chain in overlap mode).
-    virtual_duration: float = 0.0
-    #: Whether the cluster was fully converged after this round.
-    converged: bool = False
-    #: Sessions aborted at their adaptive deadline (health layer on).
-    timeouts: int = 0
-    #: Sessions refused by an open per-peer circuit breaker.
-    breaker_skips: int = 0
-    #: Hedged (backup-peer) sessions launched after a primary timeout.
-    hedges: int = 0
-
-
-@dataclass
-class ServiceReport:
-    """Summary of one :meth:`AntiEntropyService.run` invocation."""
-
-    replicas: int
-    shards: int
-    rounds: List[RoundMetrics]
-    #: First round after which the cluster was converged (None: never).
-    converged_after: Optional[int]
-    #: Total virtual seconds the run took on the simulated clock.
-    virtual_seconds: float
-    meter: NetworkMeter
-    #: Aggregate health counters (``HealthMonitor.counters()``) captured
-    #: when the run finished; ``None`` when the health layer was off.
-    health: Optional[Dict[str, int]] = None
-
-    @property
-    def total_exchanges(self) -> int:
-        return sum(r.exchanges for r in self.rounds)
-
-    @property
-    def total_messages(self) -> int:
-        return sum(r.messages for r in self.rounds)
-
-    @property
-    def total_bytes(self) -> int:
-        return sum(r.bytes_sent for r in self.rounds)
-
-    @property
-    def total_timeouts(self) -> int:
-        return sum(r.timeouts for r in self.rounds)
-
-    @property
-    def total_breaker_skips(self) -> int:
-        return sum(r.breaker_skips for r in self.rounds)
-
-    @property
-    def total_hedges(self) -> int:
-        return sum(r.hedges for r in self.rounds)
-
-    def bytes_per_key(self, key_count: int) -> float:
-        """Payload bytes spent per logical key over the whole run."""
-        return self.total_bytes / max(1, key_count)
-
-    def bytes_per_key_per_replica(self, key_count: int) -> float:
-        """Payload bytes per key per replica -- the scale-honest cost."""
-        return self.total_bytes / (max(1, key_count) * max(1, self.replicas))
-
-    def round_duration_percentiles(
-        self, quantiles: Sequence[float] = (0.5, 0.9, 0.99)
-    ) -> Dict[float, float]:
-        """Nearest-rank percentiles of per-round virtual durations."""
-        return nearest_rank([r.virtual_duration for r in self.rounds], quantiles)
-
-    def session_latency_percentiles(
-        self, quantiles: Sequence[float] = (0.5, 0.9, 0.99)
-    ) -> Dict[float, float]:
-        """Tail latency of individual transfer legs, from the meter."""
-        return self.meter.latency_percentiles(quantiles)
-
-    def as_dict(self) -> Dict[str, object]:
-        """A JSON-serializable view of the whole run (``--json`` output).
-
-        Everything a dashboard or regression script needs: totals, the
-        fault economy, per-round counters, tail percentiles and -- when
-        the health layer ran -- its aggregate counters.
-        """
-        meter = self.meter
-        return {
-            "replicas": self.replicas,
-            "shards": self.shards,
-            "converged_after": self.converged_after,
-            "virtual_seconds": self.virtual_seconds,
-            "totals": {
-                "exchanges": self.total_exchanges,
-                "messages": self.total_messages,
-                "bytes_sent": self.total_bytes,
-                "timeouts": self.total_timeouts,
-                "breaker_skips": self.total_breaker_skips,
-                "hedges": self.total_hedges,
-            },
-            "faults": {
-                "dropped": meter.dropped,
-                "duplicated": meter.duplicated,
-                "retried": meter.retried,
-                "corrupted": meter.corrupted,
-                "retry_latency": meter.retry_latency,
-            },
-            "round_duration_percentiles": {
-                str(q): v for q, v in self.round_duration_percentiles().items()
-            },
-            "session_latency_percentiles": {
-                str(q): v for q, v in self.session_latency_percentiles().items()
-            },
-            "health": self.health,
-            "rounds": [
-                {
-                    "number": r.number,
-                    "exchanges": r.exchanges,
-                    "skipped": r.skipped,
-                    "timeouts": r.timeouts,
-                    "breaker_skips": r.breaker_skips,
-                    "hedges": r.hedges,
-                    "messages": r.messages,
-                    "bytes_sent": r.bytes_sent,
-                    "virtual_duration": r.virtual_duration,
-                    "converged": r.converged,
-                }
-                for r in self.rounds
-            ],
-        }
 
 
 def gossip_schedule(replicas: int, rounds: int, *, seed: int = 0) -> SyncSchedule:
@@ -302,12 +159,12 @@ def build_cluster(
 class _Part(Job):
     """One (pair, shard) part of a round, or the hedge of a timed-out one."""
 
-    __slots__ = ("service", "metrics", "first", "second", "shard", "hedge")
+    __slots__ = ("service", "report", "first", "second", "shard", "hedge")
 
     def __init__(
         self,
         service: "AntiEntropyService",
-        metrics: RoundMetrics,
+        report: RoundReport,
         first: int,
         second: int,
         shard: int,
@@ -321,7 +178,7 @@ class _Part(Job):
             deadline=deadline,
         )
         self.service = service
-        self.metrics = metrics
+        self.report = report
         self.first = first
         self.second = second
         self.shard = shard
@@ -337,17 +194,17 @@ class _Part(Job):
         return service.engine.session(first, second, keys=part)
 
     def close(self, interpreter: Interpreter) -> None:
-        service, metrics, result = self.service, self.metrics, self.result
+        service, report, result = self.service, self.report, self.result
         health = service.health
         if result is None:
-            metrics.empty_parts += 1
+            report.empty_parts += 1
         elif isinstance(result, SessionTimeout):
-            metrics.timeouts += 1
+            report.timeouts += 1
             health.observe_timeout(self.second, interpreter.now)
             if service.hedge and not self.hedge:
                 service._hedge(interpreter, self)
         else:
-            metrics.merge += result
+            report.merge += result
             if service.checker is not None:
                 service.checker.scan()
             if health is not None:
@@ -360,8 +217,13 @@ class _Part(Job):
                     health.hedge_wins += 1
 
 
-class AntiEntropyService:
+class AntiEntropyService(AntiEntropy):
     """Virtual-time anti-entropy over a population of replicas.
+
+    The :class:`~repro.replication.synchronizer.AntiEntropy` driver with
+    its rounds run on an :class:`~repro.service.interpreter.Interpreter`.
+    It adds shards, links, lockstep and overlap, health and hedging, and
+    keeps its own O(1) peer draw; everything else is inherited.
 
     Parameters
     ----------
@@ -424,53 +286,31 @@ class AntiEntropyService:
         health=None,
         hedge: bool = False,
     ) -> None:
-        self.checker = checker
-        self.nodes: List[MobileNode] = list(nodes)
-        self.engine = engine if engine is not None else WireSyncEngine()
+        super().__init__(nodes, rng=random.Random(seed), engine=engine, checker=checker)
         self.shards = KeyShards(shards)
         self.link = link if link is not None else LinkProfile()
         self.lockstep = lockstep
-        self._rng = random.Random(seed)
         self._link_rng = random.Random(seed ^ 0x11A7C0DE)
-        if health:
-            config = health if isinstance(health, HealthConfig) else None
-            self.health: Optional[HealthMonitor] = HealthMonitor(
-                config=config, seed=seed
-            )
-        else:
-            self.health = None
+        config = health if isinstance(health, HealthConfig) else None
+        self.health: Optional[HealthMonitor] = (
+            HealthMonitor(config=config, seed=seed) if health else None
+        )
         self.hedge = bool(hedge) and self.health is not None
         #: The transport's grey modes resolved over this population
         #: (``None`` without a transport or degradation plan).
-        transport = self.engine.transport
+        transport = self.transport
         self.degradation: Optional[DegradationState] = (
             transport.ensure_degradation([node.node_id for node in self.nodes])
             if transport is not None
             else None
         )
-        #: Metrics of every round ever run through this service.
-        self.rounds: List[RoundMetrics] = []
-
-    @property
-    def network(self) -> Optional[SimulatedNetwork]:
-        return self.nodes[0].network if self.nodes else None
-
-    @property
-    def meter(self) -> NetworkMeter:
-        return self.engine.meter
-
-    # -- convergence -------------------------------------------------------
-
-    def converged(self, keys: Optional[Iterable[str]] = None) -> bool:
-        """True when every live replica holds the same siblings everywhere."""
-        return replicas_agree(self.nodes, keys)
 
     # -- scheduling --------------------------------------------------------
 
     def _peer_groups(self, live: List[int]) -> Dict[int, List[int]]:
         """Connectivity groups as sorted index lists (O(N) when healthy)."""
-        transport = self.engine.transport
-        network = self.network
+        transport = self.transport
+        network = self.nodes[0].network
 
         def uncrashed(indices: Iterable[int]) -> List[int]:
             if transport is None:
@@ -494,8 +334,11 @@ class AntiEntropyService:
                 groups[member] = members
         return groups
 
-    def _schedule_round(self) -> List[Tuple[int, int]]:
-        """One seeded gossip round: each live replica picks one peer, O(1)."""
+    def _schedule_round(self, report: RoundReport) -> List[Tuple[int, int]]:
+        """One seeded gossip round: each live replica picks one peer, O(1).
+
+        The draw is from the replica's connectivity group and skips nobody.
+        """
         live = [index for index, node in enumerate(self.nodes) if node.alive]
         if len(live) < 2:
             return []
@@ -524,7 +367,7 @@ class AntiEntropyService:
     def _submit(
         self,
         interpreter: Interpreter,
-        metrics: RoundMetrics,
+        report: RoundReport,
         first: int,
         second: int,
         shard: int,
@@ -540,10 +383,10 @@ class AntiEntropyService:
         deadline = None
         if health is not None:
             if not health.allow(second, interpreter.now):
-                metrics.breaker_skips += 1
+                report.breaker_skips += 1
                 return
             deadline = health.deadline(second)
-        interpreter.submit(_Part(self, metrics, first, second, shard, deadline))
+        interpreter.submit(_Part(self, report, first, second, shard, deadline))
 
     def _hedge(self, interpreter: Interpreter, primary: _Part) -> None:
         """Submit one backup part after ``primary`` timed out.
@@ -565,11 +408,11 @@ class AntiEntropyService:
         if backup is None:
             return
         health.hedges += 1
-        primary.metrics.hedges += 1
+        primary.report.hedges += 1
         interpreter.submit(
             _Part(
                 self,
-                primary.metrics,
+                primary.report,
                 primary.first,
                 backup,
                 primary.shard,
@@ -579,85 +422,57 @@ class AntiEntropyService:
         )
 
     def _run_round(
-        self, interpreter: Interpreter, number: int, pairs: Sequence[Tuple[int, int]]
-    ) -> RoundMetrics:
-        metrics = RoundMetrics(number=number)
-        if self.engine.history is not None:
-            self.engine.history.mark_round(number)
-        start = interpreter.now
-        before_messages, before_bytes = self.meter.snapshot()
-        parts: List[Tuple[int, int, int]] = []
-        for initiator, peer in pairs:
-            if not self.nodes[initiator].can_reach(self.nodes[peer]):
-                metrics.skipped += 1
-                continue
-            metrics.exchanges += 1
-            for shard in range(self.shards.count):
-                parts.append((initiator, peer, shard))
-        for initiator, peer, shard in parts:
-            self._submit(interpreter, metrics, initiator, peer, shard)
-            if self.lockstep:
-                interpreter.run()
-        interpreter.run()
-        if self.health is not None:
-            self.health.decay_round()
-        after_messages, after_bytes = self.meter.snapshot()
-        metrics.messages = after_messages - before_messages
-        metrics.bytes_sent = after_bytes - before_bytes
-        metrics.virtual_duration = interpreter.now - start
-        return metrics
+        self, interpreter: Interpreter, pairs: Optional[Sequence[Tuple[int, int]]]
+    ) -> RoundReport:
+        """Run one round on ``interpreter``: ``pairs``, or a fresh draw if None."""
+        with self._round() as report:
+            if pairs is None:
+                pairs = self._schedule_round(report)
+            start = interpreter.now
+            parts = [
+                (initiator, peer, shard)
+                for initiator, peer in self._reachable(report, pairs)
+                for shard in range(self.shards.count)
+            ]
+            for initiator, peer, shard in parts:
+                self._submit(interpreter, report, initiator, peer, shard)
+                if self.lockstep:
+                    interpreter.run()
+            interpreter.run()
+            if self.health is not None:
+                self.health.decay_round()
+            report.virtual_duration = interpreter.now - start
+        return report
 
     def run(
         self,
-        *,
         max_rounds: Optional[int] = None,
+        *,
         schedule: Optional[SyncSchedule] = None,
         until_converged: bool = True,
         advance_network: bool = True,
-        on_round: Optional[Callable[[RoundMetrics], None]] = None,
-    ) -> ServiceReport:
+        on_round: Optional[Callable[[RoundReport], None]] = None,
+    ) -> RunReport:
         """Run gossip rounds on a fresh virtual clock.
 
-        Either pass an explicit ``schedule`` (its length bounds the run)
-        or ``max_rounds`` to gossip on the service's seeded internal
-        schedule.  ``on_round`` fires after every round with its
-        :class:`RoundMetrics` -- the hook the lockstep tests use to
-        compare state digests round by round.
+        Pass an explicit ``schedule`` (its length bounds the run) or
+        ``max_rounds`` to gossip on the service's seeded draw; the other
+        parameters are :meth:`~repro.replication.synchronizer.AntiEntropy.run`'s.
         """
         if schedule is None and max_rounds is None:
             raise ValueError("pass either schedule or max_rounds")
-        total = len(schedule) if schedule is not None else max_rounds
         interpreter = Interpreter(
             link=self.link,
             link_rng=self._link_rng,
-            meter=self.meter,
+            meter=self.engine.meter,
             degradation=self.degradation,
-            transport=self.engine.transport,
+            transport=self.transport,
         )
-        run_rounds: List[RoundMetrics] = []
-        converged_after: Optional[int] = None
-        for offset in range(total):
-            pairs = schedule[offset] if schedule is not None else self._schedule_round()
-            metrics = self._run_round(interpreter, len(self.rounds) + 1, pairs)
-            if self.checker is not None:
-                self.checker.scan()
-            metrics.converged = self.converged()
-            if metrics.converged and converged_after is None:
-                converged_after = metrics.number
-            run_rounds.append(metrics)
-            self.rounds.append(metrics)
-            if on_round is not None:
-                on_round(metrics)
-            if advance_network and self.network is not None:
-                self.network.advance()
-            if until_converged and metrics.converged:
-                break
-        return ServiceReport(
-            replicas=len(self.nodes),
-            shards=self.shards.count,
-            rounds=run_rounds,
-            converged_after=converged_after,
-            virtual_seconds=interpreter.now,
-            meter=self.meter,
-            health=self.health.counters() if self.health is not None else None,
-        )
+        rows = schedule if schedule is not None else repeat(None, max_rounds)
+        rounds = (self._run_round(interpreter, pairs) for pairs in rows)
+        report = self._run(rounds, until_converged, advance_network, on_round)
+        report.shards = self.shards.count
+        report.virtual_seconds = interpreter.now
+        if self.health is not None:
+            report.health = self.health.counters()
+        return report

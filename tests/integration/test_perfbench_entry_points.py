@@ -74,17 +74,49 @@ def test_the_tracer_restores_every_original(perfbench):
     assert all(new is old for new, old in zip(restored, originals))
 
 
+#: One pass of each workload at sub-seed 1001: the final state digest's
+#: first 16 hex digits, bytes sent, operations attempted and failed.
+SAME_WORK = {
+    "converge-service": ("32077444849e6a3c", 618818, 48000, 0),
+    "churn-chaos": ("79d2ef7469439d7c", 1675204, 1648, 3),
+    "durable-recover": ("6b3927f1c93a6124", 2270476, 1576, 0),
+    "grey-service": ("310f6155221dc451", 781624, 2896, 785),
+}
+
+
 def test_every_workload_builds_digests_and_closes(perfbench, tmp_path):
+    """Each workload builds, runs one pass and does the same work as before.
+
+    A refactor that keeps behaviour keeps every value in
+    :data:`SAME_WORK`.  A deliberate behaviour change updates them in its
+    own change and records old -> new in CHANGES.md.
+    """
     _, workloads = perfbench
-    assert len(workloads.WORKLOADS) == 4
+    assert set(workloads.WORKLOADS) == set(SAME_WORK)
     for name in workloads.WORKLOADS:
         workdir = tmp_path / name
         workdir.mkdir()
         workload = workloads.build(name, 1001, str(workdir))
         try:
             assert re.fullmatch(r"[0-9a-f]{64}", workload.digest())
+            sample = workloads.Sample()
+            workload.run(sample)
+            assert not sample.problems
+            done = (
+                workload.digest()[:16],
+                sample.bytes_sent,
+                sample.attempted,
+                sample.failed,
+            )
         finally:
             workload.close()
+        assert done == SAME_WORK[name], (
+            f"{name} did different work at sub-seed 1001: {done} != "
+            f"{SAME_WORK[name]}.  A change to either gossip driver's peer "
+            f"draw moves these values and re-rolls the grey soak's seed, "
+            f"which can trip defect (a), the version-stamp overflow in "
+            f"tests/service/test_grey_soak.py."
+        )
 
 
 @pytest.mark.parametrize(

@@ -48,7 +48,7 @@ class TestPartitionedOperation:
         # Heal the partition and reconcile everything.
         network.heal()
         gossip = AntiEntropy([hq, field1, field2, field2b], rng=random.Random(0))
-        gossip.rounds_to_convergence(max_rounds=30)
+        gossip.run(30)
 
         # The two edits were concurrent: every node must see both siblings.
         for node in (hq, field1, field2, field2b):
@@ -134,10 +134,10 @@ class TestScheduledAndProximityNetworks:
         a.write("left", 1)
         c.write("right", 2)
         gossip = AntiEntropy([a, b, c, d], rng=random.Random(2))
-        gossip.run(3)
+        gossip.run(3, until_converged=False)
         # While partitioned, the other side's key is absent.
         assert a.read("right") == []
-        rounds = gossip.rounds_to_convergence(max_rounds=40)
+        rounds = gossip.run(40).converged_after
         assert rounds is not None
         assert a.read("right") == [2]
         assert c.read("left") == [1]
@@ -155,7 +155,7 @@ class TestScheduledAndProximityNetworks:
         gossip = AntiEntropy(nodes, rng=random.Random(4))
         # Ten rounds mix the clusters thoroughly.  The note is written once,
         # so its copies compare EQUAL and gossip keeps their trackers.
-        gossip.run(10)
+        gossip.run(10, until_converged=False)
         holders = sum(1 for node in nodes if node.read("note") == ["hello"])
         assert holders >= 3
 

@@ -154,7 +154,7 @@ class TestRetryAndGoodput:
         for index, node in enumerate(nodes):
             node.write(f"key-{index}", f"value-{index}")
         gossip = AntiEntropy(nodes, rng=random.Random(7), engine=engine)
-        reports = gossip.run(10)
+        reports = gossip.run(10, until_converged=False).rounds
         assert gossip.converged()
         meter = engine.meter
         assert meter.dropped > 0
@@ -172,7 +172,7 @@ class TestRetryAndGoodput:
         nodes = _population("version-stamp", 2, transport)
         nodes[0].write("k", "v")
         gossip = AntiEntropy(nodes, rng=random.Random(1), engine=engine)
-        gossip.run(3)
+        gossip.run(3, until_converged=False)
         assert gossip.converged()
         assert engine.meter.fault_snapshot() == (0, 0, 0, 0, 0.0)
         assert engine.meter.goodput() == 1.0
@@ -222,12 +222,12 @@ class TestIdempotentRedelivery:
             nodes[0].write("a", 1)
             nodes[1].write("b", 2)
             gossip = AntiEntropy(nodes, rng=random.Random(5), engine=engine)
-            gossip.run(3)
+            gossip.run(3, until_converged=False)
             # Concurrent updates on a replicated key: a real conflict the
             # duplicated arm must resolve identically.
             nodes[0].write("a", "left")
             nodes[2].write("a", "right")
-            gossip.run(6)
+            gossip.run(6, until_converged=False)
             assert gossip.converged()
             outcomes.append([_store_fingerprint(node) for node in nodes])
         assert outcomes[0] == outcomes[1]
@@ -353,7 +353,7 @@ class TestSkipAndReport:
         nodes[1].write("k", "v")
         gossip = AntiEntropy(nodes, rng=random.Random(1), engine=engine)
         report = gossip.run_round()
-        assert report.frames_rejected >= 1
+        assert len(report.merge.frames_rejected) >= 1
 
 
 class TestResponseLegRollback:
@@ -396,22 +396,32 @@ class TestCrashRestart:
         nodes = _population(family, 3, transport)
         nodes[0].write("k", "v")
         gossip = AntiEntropy(nodes, rng=random.Random(9), engine=engine)
-        gossip.run(4)
+        gossip.run(4, until_converged=False)
         assert gossip.converged()
         victim = nodes[2]
         gossip.crash(victim)
         assert not victim.alive
         assert not transport.can_communicate("n0", "n2")
         nodes[0].write("k", "v2")
-        gossip.run(3)
+        gossip.run(3, until_converged=False)
         # The dead node kept stale state but took no part in gossip.
         assert victim.store.get("k") == ["v"]
         gossip.restart(victim)
         assert victim.alive
         assert victim.store.keys() == []  # rejoined empty
-        gossip.run(5)
+        gossip.run(5, until_converged=False)
         assert gossip.converged()
         assert victim.store.get("k") == ["v2"]
+
+
+    def test_partitions_leave_crashed_nodes_out(self):
+        network = PartitionedNetwork([["n0", "n1"], ["n2", "n3"]])
+        transport = FaultyTransport(network, seed=52)
+        transport.crash("n1")
+        components = transport.partitions(["n0", "n1", "n2", "n3"])
+        assert sorted(map(sorted, components)) == [["n0"], ["n2", "n3"]]
+        transport.restart("n1")
+        assert len(transport.partitions(["n0", "n1", "n2", "n3"])) == 2
 
 
 class TestEpochGossipUpgrade:
@@ -432,7 +442,7 @@ class TestEpochGossipUpgrade:
         hub, peer, straggler = nodes
         hub.write("k", "v0")
         gossip = AntiEntropy(nodes, rng=random.Random(3), engine=engine)
-        gossip.run(6)
+        gossip.run(6, until_converged=False)
         assert gossip.converged()
         # The straggler leaves, quiescent on the key; the others keep
         # writing, then compact it among themselves.
@@ -445,12 +455,12 @@ class TestEpochGossipUpgrade:
         assert peer.store.tracker_of("k").epoch == 1
         assert straggler.store.tracker_of("k").epoch == 0
         network.heal()
-        reports = gossip.run(8)
+        reports = gossip.run(8, until_converged=False).rounds
         assert gossip.converged()
         assert straggler.store.tracker_of("k").epoch == 1
         assert straggler.store.get("k") == ["v5"]
         assert engine.epoch_upgrades > 0
-        assert sum(report.epoch_upgrades for report in reports) > 0
+        assert sum(report.merge.epoch_upgrades for report in reports) > 0
 
     def test_compaction_requires_verified_common_knowledge(self):
         """A compaction that cannot verify EQUAL aborts without bumping."""
@@ -460,7 +470,7 @@ class TestEpochGossipUpgrade:
         nodes = _population("version-stamp", 3, transport)
         nodes[0].write("k", "v")
         gossip = AntiEntropy(nodes, rng=random.Random(2), engine=engine)
-        gossip.run(4)
+        gossip.run(4, until_converged=False)
         # An unreachable holder blocks the default (all-holders) protocol.
         network.set_partitions([["n0", "n1"], ["n2"]])
         assert not gossip.compact_key("k")
@@ -482,7 +492,7 @@ class TestEpochGossipUpgrade:
         for step in range(6):
             nodes[step % 4].write("k", f"v{step}")
             gossip.run_round()
-        gossip.run(4)
+        gossip.run(4, until_converged=False)
         assert gossip.converged()
         bits_before = sum(
             node.store.tracker_of("k").encoded_size_bits() for node in nodes
@@ -497,7 +507,7 @@ class TestEpochGossipUpgrade:
             assert bits_after <= bits_before
         # Post-compaction writes still dominate and propagate normally.
         nodes[1].write("k", "after-compaction")
-        gossip.run(4)
+        gossip.run(4, until_converged=False)
         assert gossip.converged()
         for node in nodes:
             assert node.store.get("k") == ["after-compaction"]

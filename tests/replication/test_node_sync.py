@@ -69,7 +69,7 @@ class TestAntiEntropy:
         for index, node in enumerate(nodes):
             node.write(f"key-{index}", index)
         gossip = AntiEntropy(nodes, rng=random.Random(1))
-        rounds = gossip.rounds_to_convergence(max_rounds=20)
+        rounds = gossip.run(20).converged_after
         assert rounds is not None
         assert gossip.converged()
         for node in nodes:
@@ -81,7 +81,7 @@ class TestAntiEntropy:
         nodes[0].write("left", 1)
         nodes[2].write("right", 2)
         gossip = AntiEntropy(nodes, rng=random.Random(1))
-        assert gossip.rounds_to_convergence(max_rounds=5) is None
+        assert gossip.run(5).converged_after is None
         # But each side converges internally.
         assert nodes[1].read("left") == [1]
         assert nodes[3].read("right") == [2]
@@ -93,9 +93,9 @@ class TestAntiEntropy:
         nodes[0].write("left", 1)
         nodes[2].write("right", 2)
         gossip = AntiEntropy(nodes, rng=random.Random(1))
-        gossip.run(5)
+        gossip.run(5, until_converged=False)
         network.heal()
-        assert gossip.rounds_to_convergence(max_rounds=20) is not None
+        assert gossip.run(20).converged_after is not None
         assert nodes[0].read("right") == [2]
 
     def test_conflicts_detected_and_preserved(self):
@@ -106,7 +106,7 @@ class TestAntiEntropy:
         second.write("k", "from-n1")
         network.heal()
         gossip = AntiEntropy([first, second], rng=random.Random(1))
-        gossip.run(3)
+        gossip.run(3, until_converged=False)
         assert gossip.total_conflicts() >= 1
         assert sorted(first.read("k")) == ["from-n0", "from-n1"]
 
@@ -115,7 +115,7 @@ class TestAntiEntropy:
         nodes = _population(network, 2)
         gossip = AntiEntropy(nodes, rng=random.Random(1))
         report = gossip.run_round()
-        assert report.skipped_partitioned == 2
+        assert report.skipped == 2
         assert report.exchanges == 0
 
     def test_add_node_joins_gossip(self):
@@ -125,7 +125,7 @@ class TestAntiEntropy:
         newcomer = nodes[0].spawn_peer("n9")
         gossip.add_node(newcomer)
         nodes[0].write("k", 1)
-        gossip.run(5, advance_network=False)
+        gossip.run(5, until_converged=False, advance_network=False)
         assert newcomer.read("k") == [1]
 
     def test_total_metadata_bits_positive(self):
@@ -161,13 +161,13 @@ class TestAntiEntropy:
         for index, node in enumerate(nodes):
             node.write(f"key-{index}", index)
         gossip = AntiEntropy(nodes, rng=random.Random(1))
-        assert gossip.rounds_to_convergence(max_rounds=20) is not None
+        assert gossip.run(20).converged_after is not None
         bits = gossip.total_metadata_bits()
-        gossip.run(4)
+        gossip.run(4, until_converged=False)
         # Converged keys compare EQUAL everywhere, so idle rounds re-ship
         # the same trackers and change none of them.
         assert gossip.total_metadata_bits() == bits
-        assert all(report.messages_sent > 0 for report in gossip.reports)
+        assert all(report.messages > 0 for report in gossip.rounds)
 
 
 class TestReplicasAgree:

@@ -105,7 +105,7 @@ class TestStorePathsHoldKernelClocks:
         hub.write("k", "v")
         engine = WireSyncEngine()
         gossip = AntiEntropy(nodes, rng=random.Random(2), engine=engine)
-        gossip.run(4)
+        gossip.run(4, until_converged=False)
         assert gossip.compact_key("k", participants=[hub, peer])
         assert straggler.store.tracker_of("k").epoch == 0
         report = engine.sync(hub.store, straggler.store)
@@ -129,7 +129,7 @@ class TestStorePathsHoldKernelClocks:
         nodes = _nodes(family, 3, PartitionedNetwork())
         nodes[0].write("k", "v")
         gossip = AntiEntropy(nodes, rng=random.Random(4))
-        gossip.run(4)
+        gossip.run(4, until_converged=False)
         assert gossip.compact_key("k")
         assert {node.store.tracker_of("k").epoch for node in nodes} == {1}
         assert_clocks(family, *(node.store for node in nodes))

@@ -99,7 +99,7 @@ def _run_scenario(family, *, seed, replicas=5, keys=6, rounds=15, settle=None):
         rounds=rounds,
         settle=replicas + 4 if settle is None else settle,
     )
-    conflicts = sum(report.conflicts_detected for report in gossip.reports)
+    conflicts = sum(report.merge.conflicts_detected for report in gossip.rounds)
     return snapshot, conflicts, engine, gossip
 
 
@@ -122,8 +122,8 @@ class TestLockstep:
         gossip = AntiEntropy(nodes, rng=random.Random(3))
         default = _drive(nodes, gossip, **shape)
         assert default == explicit
-        assert [report.bytes_sent for report in gossip.reports] == [
-            report.bytes_sent for report in explicit_gossip.reports
+        assert [report.bytes_sent for report in gossip.rounds] == [
+            report.bytes_sent for report in explicit_gossip.rounds
         ]
         assert gossip.converged()
 
@@ -155,9 +155,9 @@ class TestWireAccounting:
         engine = WireSyncEngine()
         gossip = AntiEntropy(nodes, rng=random.Random(0), engine=engine)
         report = gossip.run_round()
-        assert report.messages_sent > 0
+        assert report.messages > 0
         assert report.bytes_sent > 0
-        assert (report.messages_sent, report.bytes_sent) <= engine.meter.snapshot()
+        assert (report.messages, report.bytes_sent) <= engine.meter.snapshot()
 
     def test_meter_is_shared(self):
         meter = NetworkMeter()
@@ -183,7 +183,7 @@ class TestWireAccounting:
             report = gossip.run_round()
             # Converged population, no writes: every key's digests match,
             # so each session is its one digest message and nothing else.
-            assert report.messages_sent == report.exchanges == len(nodes)
+            assert report.messages == report.exchanges == len(nodes)
         assert engine.stamps_shipped == shipped
 
 

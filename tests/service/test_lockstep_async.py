@@ -127,7 +127,7 @@ class TestOverlapMode:
                 link=LinkProfile(latency=0.001, bandwidth=1e6, jitter=0.2),
             )
             report = service.run(max_rounds=30)
-            return digest(nodes), meter_state(service.meter), report.converged_after
+            return digest(nodes), meter_state(service.engine.meter), report.converged_after
 
         first = one_run()
         second = one_run()
