@@ -1,7 +1,7 @@
 """Fail CI when a fresh perf snapshot regresses below the committed floors.
 
 Compares two ``BENCH_ops.json`` files -- the committed snapshot (the floor)
-and a freshly measured one -- on eleven tracked values:
+and a freshly measured one -- on six timed ratios:
 
 * ``join_normalize[<frontier>].speedup_vs_reference`` (packed stamp core vs
   the text-based seed implementation), at frontier 32 by default;
@@ -12,48 +12,29 @@ and a freshly measured one -- on eleven tracked values:
 * ``codec.envelope_vs_json_roundtrip`` (a version-stamp frontier
   round-tripped through the kernel's binary wire envelope vs through the
   JSON codec);
-* ``replication.stamps_per_round`` and
-  ``replication.batched_messages_per_round`` (the converged anti-entropy
-  steady state, version-stamp family at 32 replicas: every key's digests
-  match, so no stamp ships and each session sends its one digest
-  message -- deterministic seeded counts);
-* ``chaos.convergence_efficiency`` (fault-free rounds-to-convergence over
-  rounds-to-convergence under the 10%-loss fault matrix -- a deterministic
-  seeded count ratio, so any drift at all is a real behaviour change in
-  the retry/skip machinery, not noise);
-* ``health.grey_resilience`` (virtual time for a degraded seeded run with
-  the accrual health layer *off* over the same run with detection,
-  adaptive deadlines, circuit breakers and hedging *on* -- a
-  deterministic virtual-time ratio measuring how much simulated time the
-  defensive layer claws back from grey failures);
-* ``scale.convergence_efficiency`` (log2(replicas) over the async
-  service's rounds-to-convergence at 10^4 simulated replicas -- epidemic
-  gossip converges in ~log2(N) rounds, and this deterministic ratio
-  drops when the datacenter-scale service starts wasting rounds);
 * ``contracts.check_vs_compare`` (per-spec causal ordering contract
-  check evaluations/sec over the bare tracker comparison each check
-  wraps, both arms in-process on a converged population -- the floor
-  pins the enforcement layer's per-comparison overhead);
+  check evaluations/sec over the bare clock comparisons each check
+  makes, on a settled population -- the floor pins the enforcement
+  layer's per-comparison overhead);
 * ``durability.durable_vs_memory_sync`` (write-churn anti-entropy
-  rounds/sec with journaling on over journaling off -- the committed
-  floor enforces the <= 10% journaling-overhead budget of the durable
-  store design).
+  rounds/sec with journaling on over journaling off).  Journaling costs
+  about a quarter of the in-memory rate on this workload: 60 quick runs
+  on a 2-vCPU VM read 0.63-0.84x, median 0.75x.  The committed floor is
+  0.90x, so the gate admits 0.63x, a journaling overhead of up to 37%.
 
 Ratios rather than absolute ops/sec are checked because both sides of each
 ratio run on the same machine in the same process, so the ratio is stable
-across runner hardware while absolute throughput is not.  For the six
-timed ratios a tolerance (default 30%) absorbs scheduler noise on shared CI
-runners: the check fails only when ``fresh < committed * (1 - tolerance)``.
-The five deterministic values (the two replication counts, chaos, health
-and scale) are seeded counts and virtual times, so they are compared
-exactly instead: the check fails when one moves more than a relative 1e-6
-from the committed value, in either direction.  A PR that changes one on
-purpose commits the new value and says why.
+across runner hardware while absolute throughput is not.
+``benchmarks/perf_snapshot.py`` times each ratio as the median over
+alternating pairs of its two arms.  A tolerance (default 30%) absorbs the
+rest of the noise of shared CI runners: the check fails only when
+``fresh < committed * (1 - tolerance)``.  Seeded values that repeat
+exactly are asserted by the tests that run their workloads, not here.
 
-No timed floor covers the stream sync path: the replication section only
-counts its steady state, in which no stamp ships.  A slowdown confined to
-the stream encode/decode path is caught by no floor here; perfbench's
-end-to-end workloads still ship thousands of stamps per pass through it.
+No timed floor covers the stream sync path: the steady state of
+anti-entropy ships no stamps.  A slowdown confined to the stream
+encode/decode path is caught by no floor here; perfbench's end-to-end
+workloads still ship thousands of stamps per pass through it.
 
 ``codec.envelope_vs_json_roundtrip`` times a cached path.
 ``perf_snapshot.measure_codec`` round-trips the same 64 version-stamp
@@ -85,27 +66,11 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from pathlib import Path
 
 DEFAULT_TOLERANCE = 0.30
 JOIN_NORMALIZE_FRONTIER = "32"
-
-#: Ratios of seeded counts and virtual times: bit-identical across machines
-#: and runs, so any drift is a behaviour change, not noise.
-DETERMINISTIC_RATIOS = frozenset(
-    {
-        "replication.stamps_per_round",
-        "replication.batched_messages_per_round",
-        "chaos.convergence_efficiency",
-        "health.grey_resilience",
-        "scale.convergence_efficiency",
-    }
-)
-#: Relative drift allowed on a deterministic ratio: room for last-digit
-#: float differences between platforms, far below any behaviour change.
-DETERMINISTIC_TOLERANCE = 1e-6
 
 #: Sections whose floors are already committed.  These may never be
 #: skipped: deleting one from the committed snapshot must fail the check,
@@ -119,10 +84,6 @@ ESTABLISHED_SECTIONS = frozenset(
         "lockstep",
         "reroot",
         "codec",
-        "replication",
-        "chaos",
-        "health",
-        "scale",
         "contracts",
         "durability",
     }
@@ -156,11 +117,7 @@ def _ratio(data, label, *keys):
 
 
 def check(committed, fresh, *, tolerance=DEFAULT_TOLERANCE):
-    """Return True when every tracked ratio holds.
-
-    A timed ratio holds within ``tolerance`` below its floor; a
-    deterministic ratio holds when it matches its committed value.
-    """
+    """Return True when every tracked ratio holds within ``tolerance``."""
     ok = True
     skipped = 0
     tracked = (
@@ -168,11 +125,6 @@ def check(committed, fresh, *, tolerance=DEFAULT_TOLERANCE):
         ("lockstep", "speedup_vs_refhistory"),
         ("reroot", "speedup_vs_raw"),
         ("codec", "envelope_vs_json_roundtrip"),
-        ("replication", "stamps_per_round"),
-        ("replication", "batched_messages_per_round"),
-        ("chaos", "convergence_efficiency"),
-        ("health", "grey_resilience"),
-        ("scale", "convergence_efficiency"),
         ("contracts", "check_vs_compare"),
         ("durability", "durable_vs_memory_sync"),
     )
@@ -196,18 +148,6 @@ def check(committed, fresh, *, tolerance=DEFAULT_TOLERANCE):
         value = _ratio(fresh, "fresh", *keys)
         if floor is None or value is None:
             ok = False
-            continue
-        if name in DETERMINISTIC_RATIOS:
-            if math.isclose(value, floor, rel_tol=DETERMINISTIC_TOLERANCE):
-                print(f"ok: {name} = {value!r} (deterministic, committed {floor!r})")
-            else:
-                print(
-                    f"CHANGED: {name} = {value!r}, committed {floor!r}: a "
-                    f"deterministic ratio moved by more than a relative "
-                    f"{DETERMINISTIC_TOLERANCE:g} (a behaviour change; commit "
-                    f"the new value in the PR that explains it)"
-                )
-                ok = False
             continue
         allowed = floor * (1.0 - tolerance)
         if value < allowed:
@@ -241,10 +181,7 @@ def main(argv=None):
     parser.add_argument("fresh", help="freshly measured snapshot to validate")
     parser.add_argument(
         "--tolerance", type=float, default=DEFAULT_TOLERANCE,
-        help=(
-            "allowed fractional drop of a timed ratio below its floor "
-            "(default: 0.30); deterministic ratios must match exactly"
-        ),
+        help="allowed fractional drop of a ratio below its floor (default: 0.30)",
     )
     args = parser.parse_args(argv)
 

@@ -88,7 +88,7 @@ from __future__ import annotations
 import random
 import zlib
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import (
     Callable,
     Dict,
@@ -274,8 +274,9 @@ class RunReport:
         """A JSON-serializable view of the whole run (``--json`` output).
 
         Everything a dashboard or regression script needs: totals, the
-        fault economy, per-round counters, tail percentiles and -- when
-        the health layer ran -- its aggregate counters.
+        fault economy, every field of each round's report, tail
+        percentiles and -- when the health layer ran -- its aggregate
+        counters.
         """
         meter = self.meter
         return {
@@ -305,21 +306,7 @@ class RunReport:
                 str(q): v for q, v in self.session_latency_percentiles().items()
             },
             "health": self.health,
-            "rounds": [
-                {
-                    "number": r.number,
-                    "exchanges": r.exchanges,
-                    "skipped": r.skipped,
-                    "timeouts": r.timeouts,
-                    "breaker_skips": r.breaker_skips,
-                    "hedges": r.hedges,
-                    "messages": r.messages,
-                    "bytes_sent": r.bytes_sent,
-                    "virtual_duration": r.virtual_duration,
-                    "converged": r.converged,
-                }
-                for r in self.rounds
-            ],
+            "rounds": [asdict(r) for r in self.rounds],
         }
 
 

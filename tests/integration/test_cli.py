@@ -1,8 +1,12 @@
 """Tests for the command-line interface."""
 
+import dataclasses
+import json
+
 import pytest
 
 from repro.cli import build_parser, main
+from repro.replication.synchronizer import RoundReport
 
 
 class TestStampCommands:
@@ -213,6 +217,23 @@ class TestServeSimCommand:
             == 0
         )
         assert "lockstep mode" in capsys.readouterr().out
+
+    def test_json_reports_whole_rounds(self, capsys):
+        assert (
+            main(
+                [
+                    "serve-sim", "--replicas", "32", "--keys", "2", "--loss", "0.2",
+                    "--max-rounds", "40", "--json",
+                ]
+            )
+            == 0
+        )
+        data = json.loads(capsys.readouterr().out)
+        fields = {field.name for field in dataclasses.fields(RoundReport)}
+        assert all(set(entry) == fields for entry in data["rounds"])
+        assert data["faults"]["dropped"] > 0
+        for name in ("dropped", "duplicated", "retried", "corrupted"):
+            assert sum(entry[name] for entry in data["rounds"]) == data["faults"][name]
 
     def test_round_budget_exhaustion_fails(self, capsys):
         assert (

@@ -31,6 +31,16 @@ from repro.replication.network import (
 
 FAMILIES = ["version-stamp", "itc", "vv-dynamic", "causal-history"]
 
+#: Five version-stamp replicas, 12 keys written up front, seed 424242 and
+#: 4 retry attempts, gossiped to convergence at each loss level: rounds
+#: to convergence, then messages, dropped, duplicated, corrupted and
+#: retried.  Retries hide every fault, so no level costs an extra round.
+FAULT_MATRIX_COSTS = {
+    0.0: (2, 20, 0, 0, 0, 0),
+    0.1: (2, 26, 3, 2, 3, 6),
+    0.3: (2, 28, 8, 3, 0, 8),
+}
+
 
 def _population(family, count, network, *, seed=0):
     first = MobileNode.first(
@@ -165,6 +175,35 @@ class TestRetryAndGoodput:
         assert sum(report.retried for report in reports) == meter.retried
         assert sum(report.dropped for report in reports) == meter.dropped
         assert any(0.0 < report.goodput <= 1.0 for report in reports)
+
+    @pytest.mark.parametrize("loss", sorted(FAULT_MATRIX_COSTS))
+    def test_fault_matrix_costs_no_extra_rounds(self, loss):
+        seed = 424242
+        plan = FaultPlan.perfect() if loss == 0.0 else FaultPlan.chaos(loss=loss)
+        transport = FaultyTransport(PartitionedNetwork(), plan=plan, seed=seed)
+        engine = WireSyncEngine(transport=transport, retry=RetryPolicy(attempts=4))
+        nodes = [
+            MobileNode.first(
+                "n0", transport, tracker_factory=kernel.family("version-stamp").factory
+            )
+        ]
+        for index in range(1, 5):
+            nodes.append(nodes[-1].spawn_peer(f"n{index}"))
+        rng = random.Random(seed + 1)
+        for index in range(12):
+            rng.choice(nodes).write(f"key{index}", f"value{index}")
+        gossip = AntiEntropy(nodes, rng=random.Random(seed + 2), engine=engine)
+        report = gossip.run(200)
+        meter = engine.meter
+        assert (
+            report.converged_after,
+            meter.messages,
+            meter.dropped,
+            meter.duplicated,
+            meter.corrupted,
+            meter.retried,
+        ) == FAULT_MATRIX_COSTS[loss]
+        assert engine.deliveries_failed == 0
 
     def test_perfect_transport_has_unit_goodput_and_no_faults(self):
         transport = FaultyTransport(FullyConnectedNetwork(), seed=12)

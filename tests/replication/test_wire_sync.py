@@ -169,8 +169,10 @@ class TestWireAccounting:
         meter.reset()
         assert meter.snapshot() == (0, 0)
 
-    def test_converged_rounds_ship_only_digests(self):
-        nodes = _population("version-stamp", 4)
+    @pytest.mark.parametrize("replicas", [4, 32])
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_converged_rounds_ship_only_digests(self, family, replicas):
+        nodes = _population(family, replicas)
         for key in range(6):
             nodes[0].write(f"key{key}", key)
         engine = WireSyncEngine()

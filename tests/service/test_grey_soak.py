@@ -56,6 +56,7 @@ Run the full matrix with ``pytest -m chaos``; an unmarked smoke variant
 keeps the machinery covered in the default tier.
 """
 
+import functools
 import random
 
 import pytest
@@ -93,10 +94,13 @@ COMPACT_THRESHOLD_BITS = 512
 HEALTH = HealthConfig(min_samples=3, min_deadline=1.0, max_deadline=20.0)
 
 
-def _run_arm(family, *, degrade, health, hedge, seed, write_rounds):
+def _run_arm(
+    family, *, degrade, health, hedge, seed, write_rounds,
+    keys=KEYS, per_round=PER_ROUND,
+):
     """Drive one arm of the soak; returns the observables the asserts use."""
     nodes, names = build_cluster(
-        REPLICAS, keys=KEYS, family=family, seed=seed, writes_per_key=0
+        REPLICAS, keys=keys, family=family, seed=seed, writes_per_key=0
     )
     plan = FaultPlan(degradation=DegradationPlan.grey() if degrade else None)
     transport = FaultyTransport(nodes[0].network, plan=plan, seed=seed)
@@ -135,7 +139,7 @@ def _run_arm(family, *, degrade, health, hedge, seed, write_rounds):
     def sweep_and_inject(metrics):
         nonlocal step
         maintenance.run_round()
-        for _ in range(PER_ROUND):
+        for _ in range(per_round):
             nodes[ops.randrange(WRITERS)].write(ops.choice(names), f"s{step}")
             step += 1
 
@@ -172,6 +176,7 @@ def _run_arm(family, *, degrade, health, hedge, seed, write_rounds):
         "oracle": oracle,
         "digest": digest,
         "settle2_rounds": len(settle2.rounds),
+        "virtual_to_settle": write.virtual_seconds + settle1.virtual_seconds,
         "virtual_total": (
             write.virtual_seconds
             + settle1.virtual_seconds
@@ -199,6 +204,29 @@ def test_grey_smoke():
     assert healthy["breaker_skips"] == 0
     # ...and actually fired under the grey weather.
     assert protected["timeouts"] > 0
+
+
+def test_grey_resilience_is_pinned():
+    """Health, deadlines and hedging cut the grey weather's cost 4.79x.
+
+    The ratio is the control arm's virtual seconds over the protected
+    arm's, through the write phase and the first settle, on a short
+    version-stamp schedule (seed 6600, 4 keys, 10 writes per round).
+    Every input is seeded, so the ratio repeats exactly: a drift is a
+    change in detection, deadlines, breakers or hedging, not noise.
+    """
+    arm = functools.partial(
+        _run_arm, "version-stamp", seed=6600, write_rounds=40, keys=4, per_round=10
+    )
+    healthy = arm(degrade=False, health=True, hedge=True)
+    control = arm(degrade=True, health=False, hedge=False)
+    protected = arm(degrade=True, health=True, hedge=True)
+    assert healthy["oracle"] and control["oracle"] and protected["oracle"]
+    # A false positive on the healthy cluster would make the ratio moot.
+    assert healthy["timeouts"] == 0
+    assert healthy["breaker_skips"] == 0
+    resilience = control["virtual_to_settle"] / protected["virtual_to_settle"]
+    assert resilience == pytest.approx(4.7891266861138035, rel=1e-6)
 
 
 @pytest.mark.chaos

@@ -42,6 +42,10 @@ def test_two_thousand_replicas_converge():
 def test_ten_thousand_replicas_converge():
     report = _converge(10_000, shards=4, max_rounds=64)
     assert report.replicas == 10_000
+    # Seeded, so exact: 9 rounds, log2(10^4) / 9 = 1.48 doublings of the
+    # informed population per round.  A later round means the service
+    # started wasting rounds.
+    assert report.converged_after == 9
     # The run must be virtual-time cheap: sub-second simulated convergence
     # at millisecond link latency, regardless of wall-clock cost.
     assert report.virtual_seconds < 1.0
