@@ -83,13 +83,43 @@ SAME_WORK = {
     "grey-service": ("310f6155221dc451", 781624, 2896, 785),
 }
 
+#: The same passes' wire counts, summed over the workload's engines:
+#: meter messages, dropped, duplicated, corrupted and retried, then the
+#: engines' ``deliveries_failed``.
+FAULT_COUNTS = {
+    "converge-service": (35549, 0, 0, 0, 0, 0),
+    "churn-chaos": (5290, 596, 571, 154, 711, 3),
+    "durable-recover": (2252, 0, 0, 0, 0, 0),
+    "grey-service": (5054, 593, 0, 0, 0, 0),
+}
+
+
+def _fault_counts(engines):
+    return tuple(
+        sum(values)
+        for values in zip(
+            *(
+                (
+                    engine.meter.messages,
+                    engine.meter.dropped,
+                    engine.meter.duplicated,
+                    engine.meter.corrupted,
+                    engine.meter.retried,
+                    engine.deliveries_failed,
+                )
+                for engine in engines
+            )
+        )
+    )
+
 
 def test_every_workload_builds_digests_and_closes(perfbench, tmp_path):
     """Each workload builds, runs one pass and does the same work as before.
 
     A refactor that keeps behaviour keeps every value in
-    :data:`SAME_WORK`.  A deliberate behaviour change updates them in its
-    own change and records old -> new in CHANGES.md.
+    :data:`SAME_WORK` and :data:`FAULT_COUNTS`.  A deliberate behaviour
+    change updates them in its own change and records old -> new in
+    CHANGES.md.
     """
     _, workloads = perfbench
     assert set(workloads.WORKLOADS) == set(SAME_WORK)
@@ -108,6 +138,7 @@ def test_every_workload_builds_digests_and_closes(perfbench, tmp_path):
                 sample.attempted,
                 sample.failed,
             )
+            counted = _fault_counts(workload.engines)
         finally:
             workload.close()
         assert done == SAME_WORK[name], (
@@ -117,6 +148,7 @@ def test_every_workload_builds_digests_and_closes(perfbench, tmp_path):
             f"which can trip defect (a), the version-stamp overflow in "
             f"tests/service/test_grey_soak.py."
         )
+        assert counted == FAULT_COUNTS[name], name
 
 
 @pytest.mark.parametrize(
