@@ -15,7 +15,8 @@ The replay is sound because of two properties of the sync engine:
   (merged, replicated, or proven EQUAL), so a completed exchange with a
   knowledge holder makes the other end a holder;
 * a key in ``keys_lost`` left **both** sides exactly as they were
-  (request-leg skip, response-leg rollback, or frame rejection), so a
+  (request-leg skip, response-leg rollback, frame rejection, or the
+  rollback of a session aborted at its deadline), so a
   lost exchange never moves knowledge -- it is precisely a *lost
   propagation opportunity* whenever one end was a holder and the other
   was not, and the record carries the fault counters (drops, retries,

@@ -13,7 +13,8 @@ perfect transport:
 * :class:`FaultyTransport` -- wraps any
   :class:`~repro.replication.network.SimulatedNetwork` and delivers sync
   payloads through the plan; it also tracks crashed replicas, so a
-  crashed node is unreachable exactly like a partitioned one;
+  crashed node is unreachable exactly like a partitioned one.  It only
+  delivers: it counts nothing;
 * :class:`RetryPolicy` -- the sender-side answer: per-transfer timeout
   expressed as a bounded number of attempts, with exponential backoff and
   seeded jitter, all in *simulated* latency (no real sleeping) so soak
@@ -26,11 +27,18 @@ transport one batch of wire blobs per sync leg via
 :meth:`FaultyTransport.transfer_batch` and receives back a list of
 ``(index, payload)`` deliveries: an index can be missing (lost), appear
 several times (duplicated), arrive out of order (reordered), and its
-payload can differ from what was sent (corrupted).  The engine retries
-missing or transport-damaged indices under its :class:`RetryPolicy`; what
-still fails after the last attempt is skipped and reported per key
-(``FrameRejected`` entries in the ``MergeReport``), never raised -- one
-bad frame can cost one key one round, not the whole pairwise sync.
+payload can differ from what was sent (corrupted).  The engine counts
+each attempt's faults from that list alone: a sent message with no copy
+back was dropped, copies after the first are duplicates, and a copy
+whose bytes differ from what was sent was corrupted.  A leg that hung
+comes back as an empty :class:`StuckLeg` carrying its hang seconds,
+which ride that attempt's
+:class:`~repro.replication.synchronizer.TransferEffect` to whoever
+prices the leg.  The engine retries missing or transport-damaged indices
+under its :class:`RetryPolicy`; what still fails after the last attempt
+is skipped and reported per key (``FrameRejected`` entries in the
+``MergeReport``), never raised -- one bad frame can cost one key one
+round, not the whole pairwise sync.
 
 Faults operate on whole sync-leg messages and on frames *within* one
 pairwise session.  Cross-session replay is modelled at the session level
@@ -44,17 +52,18 @@ mode, not this one's.  The fault matrix in the README spells this out.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..core.errors import FaultInjectionError
 from .degradation import DegradationPlan, DegradationState
-from .network import NetworkMeter, SimulatedNetwork
+from .network import SimulatedNetwork
 
 __all__ = [
     "FaultPlan",
     "FaultyTransport",
     "RetryPolicy",
+    "StuckLeg",
 ]
 
 
@@ -219,6 +228,16 @@ class RetryPolicy:
         return raw * (1.0 + self.jitter * rng.random())
 
 
+class StuckLeg(list):
+    """The deliveries of a leg attempt that hung: none, after ``hang`` seconds."""
+
+    __slots__ = ("hang",)
+
+    def __init__(self, hang: float) -> None:
+        super().__init__()
+        self.hang = hang
+
+
 class FaultyTransport:
     """A fault-injecting delivery layer over a simulated network.
 
@@ -226,11 +245,12 @@ class FaultyTransport:
     connectivity verdicts it honours and augments with crash state) and
     delivers wire blobs through a :class:`FaultPlan`.  All randomness
     comes from one seeded RNG, so a ``(plan, seed)`` pair replays the
-    exact same fault schedule.
+    exact same fault schedule.  The transport counts nothing: the engine
+    receiving its deliveries counts what was lost, duplicated or damaged.
 
     Crash/restart: :meth:`crash` freezes a replica out of the network
-    (every message to or from it is dropped and counted); :meth:`restart`
-    brings it back.  The store-level recovery semantics (rejoin empty and
+    (every message to or from it is dropped); :meth:`restart` brings it
+    back.  The store-level recovery semantics (rejoin empty and
     re-replicate) live with the node, not here -- the transport only
     answers "can bytes flow".
     """
@@ -241,7 +261,6 @@ class FaultyTransport:
         *,
         plan: Optional[FaultPlan] = None,
         seed: int = 0,
-        meter: Optional[NetworkMeter] = None,
     ) -> None:
         self.network = network
         self.plan = plan if plan is not None else FaultPlan()
@@ -249,19 +268,12 @@ class FaultyTransport:
         #: Retained so :meth:`ensure_degradation` can derive the grey RNG
         #: stream (seed XOR salt) without touching the fault RNG above.
         self.seed = seed
-        #: Meter receiving drop/duplicate/corrupt ground truth; the wire
-        #: sync engine points this at its own meter when it adopts the
-        #: transport, so one object carries the whole fault economy.
-        self.meter = meter
         self._crashed: Set[str] = set()
         #: Total transfer attempts seen (the clock outage windows run on).
         self.transfers = 0
         #: The plan's grey modes resolved over a node population (see
         #: :meth:`ensure_degradation`); ``None`` until resolved.
         self.degradation: Optional[DegradationState] = None
-        #: Virtual seconds of stuck-session hang charged by the last
-        #: transfer, stashed for the effect driver to sleep off.
-        self._pending_hang = 0.0
 
     # -- connectivity (SimulatedNetwork-compatible surface) ---------------
 
@@ -326,17 +338,6 @@ class FaultyTransport:
             )
         return self.degradation
 
-    def take_pending_hang(self) -> float:
-        """Stuck-hang seconds charged by the last transfer, then cleared.
-
-        The transport decides *whether* a leg hangs (a grey-RNG draw at
-        delivery time); the effect driver calls this after each transfer
-        to learn how much virtual time the hang costs and sleeps it.
-        """
-        hang = self._pending_hang
-        self._pending_hang = 0.0
-        return hang
-
     # -- fault machinery ---------------------------------------------------
 
     def _in_outage(self) -> bool:
@@ -356,24 +357,16 @@ class FaultyTransport:
         """The copies of one message that actually arrive (0, 1 or more)."""
         plan = self.plan
         rng = self._rng
-        meter = self.meter
         if self._in_outage() or (plan.loss and rng.random() < plan.loss):
-            if meter is not None:
-                meter.record_drop()
             return []
         copies = 1
         if plan.duplicate and rng.random() < plan.duplicate:
-            extra = rng.randint(1, plan.max_duplicates)
-            copies += extra
-            if meter is not None:
-                meter.record_duplicate(extra)
+            copies += rng.randint(1, plan.max_duplicates)
         out: List[bytes] = []
         for _ in range(copies):
             payload = blob
             if plan.corrupt and rng.random() < plan.corrupt:
                 payload = self._corrupt(blob)
-                if payload != blob and meter is not None:
-                    meter.record_corrupt()
             out.append(payload)
         return out
 
@@ -387,24 +380,19 @@ class FaultyTransport:
         its payload damaged (corrupted); the whole batch can arrive
         shuffled.  A partitioned or crashed endpoint loses everything --
         connectivity can change *mid-session*, which is exactly the
-        window the engine's per-key rollback exists for.
+        window the engine's per-key rollback exists for.  A stuck leg
+        returns a :class:`StuckLeg`: nothing, after its hang.
         """
         self.transfers += len(blobs)
         if not self.can_communicate(source, destination):
-            if self.meter is not None:
-                self.meter.record_drop(len(blobs))
             return []
         if self.degradation is not None and blobs:
             hang = self.degradation.stuck_hang(source, destination)
             if hang > 0.0:
                 # A stuck session: the leg hangs for `hang` virtual
-                # seconds and delivers nothing this attempt.  The hang
-                # time is stashed for the effect driver; the engine's
-                # retry budget and later rounds heal the lost bytes.
-                self._pending_hang += hang
-                if self.meter is not None:
-                    self.meter.record_drop(len(blobs))
-                return []
+                # seconds and delivers nothing this attempt; the
+                # engine's retry budget and later rounds heal the loss.
+                return StuckLeg(hang)
         deliveries: List[Tuple[int, bytes]] = []
         for index, blob in enumerate(blobs):
             for payload in self._deliver_copies(blob):

@@ -5,19 +5,23 @@ aggregates (:class:`~repro.replication.synchronizer.RoundReport`), but the
 aggregates cannot answer the question a contract violation raises: *which
 exchange should have carried this key's knowledge to that replica and
 didn't?*  :class:`SyncHistory` is the opt-in answer -- a bounded ring
-buffer (``collections.deque(maxlen=...)``) of per-exchange
-:class:`ExchangeRecord` entries appended by
+buffer (``collections.deque(maxlen=...)``) of :class:`ExchangeRecord`
+entries, one per session, finished or aborted, appended by
 :meth:`~repro.replication.synchronizer.WireSyncEngine.session`:
 
 * which pair of replicas exchanged,
 * which keys completed the exchange (both sides share the combined
   knowledge afterwards),
 * which keys were *lost* -- request leg dropped past the retry budget,
-  response leg rolled back, or frame rejected at decode -- with the
-  per-exchange fault counters (drops, retries, corruptions) that explain
-  the loss,
+  response leg rolled back, frame rejected at decode, or session aborted
+  at its deadline -- with the session's own tally of messages, drops,
+  retries and corruptions that explains the loss,
 * the gossip round number, when an :class:`~repro.replication.
   synchronizer.AntiEntropy` driver is marking rounds.
+
+Each session counts its traffic on a tally of its own, which the
+engine's meter absorbs, so the records of a run add up to the meter's
+deltas over it even when a driver interleaves sessions.
 
 The buffer is bounded by construction: memory stays ``O(maxlen)`` no
 matter how long a soak runs, at the price that provenance reconstruction
@@ -45,10 +49,11 @@ class ExchangeRecord:
     the session *attempted* but could not complete, each with the reason:
     ``"request-lost"`` (the frames carrying the key never survived the
     retry budget), ``"response-lost"`` (the return leg died, both sides
-    rolled back), or ``"rejected:<stage>: <why>"`` (a frame survived
-    transport retries but failed decode).  The fault counters are this
-    exchange's deltas on the engine meter, so a lost key sits next to the
-    drops and retries that killed it.
+    rolled back), ``"rejected:<stage>: <why>"`` (a frame survived
+    transport retries but failed decode), or ``"aborted"`` (the driver
+    cancelled the session before the key completed, both sides rolled
+    back).  The counters are the session's own tally, so a lost key sits
+    next to the drops and retries that killed it.
     """
 
     seq: int
@@ -84,8 +89,8 @@ class ExchangeRecord:
 class SyncHistory:
     """A bounded ring buffer of :class:`ExchangeRecord` entries.
 
-    Pass one as ``WireSyncEngine(history=...)`` and every completed
-    session appends a record; :class:`~repro.replication.synchronizer.
+    Pass one as ``WireSyncEngine(history=...)`` and every session, finished
+    or aborted, appends a record; :class:`~repro.replication.synchronizer.
     AntiEntropy` stamps the current round number onto records via
     :meth:`mark_round`.  ``maxlen`` bounds memory for arbitrarily long
     soaks -- :attr:`evicted` counts what the bound discarded, so

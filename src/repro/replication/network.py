@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..core.errors import ReplicationError
@@ -41,14 +41,14 @@ __all__ = [
 
 
 class LatencyPercentiles(Dict[float, float]):
-    """Typed result of :meth:`NetworkMeter.latency_percentiles`.
+    """Typed result of :func:`nearest_rank`.
 
     A plain ``quantile -> seconds`` mapping (so existing ``[0.5]``
     subscripting keeps working) that additionally carries how many
     samples backed it.  ``samples == 0`` is the typed empty result: every
-    requested quantile maps to ``0.0`` and :attr:`empty` is true -- a
-    meter that never saw an async transfer reports "no data" instead of
-    crashing or smuggling zeros that read like measurements.
+    requested quantile maps to ``0.0`` and :attr:`empty` is true -- a run
+    that priced no transfer leg reports "no data" instead of crashing or
+    smuggling zeros that read like measurements.
     """
 
     __slots__ = ("samples",)
@@ -66,7 +66,12 @@ class LatencyPercentiles(Dict[float, float]):
 def nearest_rank(
     samples: Sequence[float], quantiles: Sequence[float]
 ) -> LatencyPercentiles:
-    """Nearest-rank percentiles of ``samples`` (no interpolation)."""
+    """Nearest-rank percentiles of ``samples`` (no interpolation).
+
+    Deterministic and directly comparable across runs and machines: one
+    sample answers every quantile, and the p99 of two samples is the
+    larger one (``ceil(0.99 * 2) - 1 == 1``).
+    """
     ordered = sorted(samples)
     if not ordered:
         return LatencyPercentiles({q: 0.0 for q in quantiles}, 0)
@@ -84,18 +89,19 @@ def nearest_rank(
 class NetworkMeter:
     """Message, byte and fault accounting for wire-level synchronization.
 
-    The wire sync engine records every transfer it performs here, so
-    benchmarks and tests can read a sync's real traffic: a session sends
-    one digest message, then one stream per (family, epoch) group and
-    direction for the keys the digests left.  The meter keeps run totals
-    only, so its size does not grow with the number of peer pairs a run
-    touches.
+    Every sync session of the wire engine tallies its own transfers on a
+    meter of its own, and the engine's meter absorbs that tally when the
+    session ends, finished or aborted.  A session sends one digest
+    message, then one stream per (family, epoch) group and direction for
+    the keys the digests left.  A meter holds totals only, so its size
+    does not grow with the run.
 
     Under a fault-injecting transport (:mod:`repro.replication.faults`)
-    the meter additionally tracks the fault economy of a run: how many
-    messages the transport dropped, duplicated or corrupted, how many
-    resends the engine's retry policy issued, and the total simulated
-    latency those retries cost.  ``messages``/``bytes_sent`` count every
+    the meter also holds the fault economy, counted by the receiving
+    engine from what each attempt brought back: messages lost,
+    duplicated or damaged in flight, the resends the engine's retry
+    policy issued, the simulated latency those resends waited, and the
+    messages given up on.  ``messages``/``bytes_sent`` count every
     *attempt* (retries included), so ``goodput()`` -- the fraction of
     sent bytes that carried metadata the receiver actually accepted --
     is what chaos benchmarks report instead of raw throughput.
@@ -103,67 +109,32 @@ class NetworkMeter:
 
     messages: int = 0
     bytes_sent: int = 0
-    #: Messages the transport lost (loss rate, outage windows, crashes).
+    #: Messages no copy of came back (loss rate, outages, crashes, hangs).
     dropped: int = 0
-    #: Extra deliveries the transport injected beyond the first copy.
+    #: Copies delivered beyond the first of one message.
     duplicated: int = 0
     #: Resend attempts issued by the engine's retry policy.
     retried: int = 0
-    #: Messages whose payload the transport damaged in flight.
+    #: Delivered copies whose bytes differ from what was sent.
     corrupted: int = 0
     #: Total simulated backoff latency spent waiting between retries.
     retry_latency: float = 0.0
     #: Bytes of payloads the receiving engine accepted (first valid copy).
     bytes_delivered: int = 0
-    #: Virtual seconds each transfer leg spent on the wire (service
-    #: only; the synchronous engine moves bytes in zero simulated time).
-    transfer_latencies: List[float] = field(default_factory=list)
+    #: Messages given up on after the retry budget's last attempt.
+    deliveries_failed: int = 0
 
-    def record(self, nbytes: int, count: int = 1) -> None:
-        """Record ``count`` messages totalling ``nbytes`` sent."""
-        self.messages += count
-        self.bytes_sent += nbytes
-
-    def record_drop(self, count: int = 1) -> None:
-        """Record messages lost in flight."""
-        self.dropped += count
-
-    def record_duplicate(self, count: int = 1) -> None:
-        """Record extra copies delivered beyond the first."""
-        self.duplicated += count
-
-    def record_corrupt(self, count: int = 1) -> None:
-        """Record messages whose payload was damaged in flight."""
-        self.corrupted += count
-
-    def record_retry(self, count: int = 1, latency: float = 0.0) -> None:
-        """Record resend attempts and the backoff latency they waited."""
-        self.retried += count
-        self.retry_latency += latency
-
-    def record_delivery(self, nbytes: int) -> None:
-        """Record payload bytes the receiver accepted as valid."""
-        self.bytes_delivered += nbytes
-
-    def record_transfer_latency(self, seconds: float) -> None:
-        """Record the virtual wire time of one transfer leg (service path)."""
-        self.transfer_latencies.append(seconds)
-
-    def latency_percentiles(
-        self, quantiles: Sequence[float] = (0.5, 0.9, 0.99)
-    ) -> "LatencyPercentiles":
-        """Nearest-rank percentiles of the recorded transfer latencies.
-
-        Returns a :class:`LatencyPercentiles` mapping ``quantile ->
-        seconds`` carrying its sample count; with zero samples it is the
-        typed empty result (every quantile ``0.0``, ``empty`` true)
-        rather than a crash or indistinguishable zeros.  Nearest-rank on
-        the sorted samples -- no interpolation -- so the numbers are
-        deterministic and directly comparable across runs and machines:
-        one sample answers every quantile, and the p99 of two samples is
-        the larger one (``ceil(0.99 * 2) - 1 == 1``).
-        """
-        return nearest_rank(self.transfer_latencies, quantiles)
+    def absorb(self, tally: "NetworkMeter") -> None:
+        """Add the counts of ``tally`` (one session's) to this meter."""
+        self.messages += tally.messages
+        self.bytes_sent += tally.bytes_sent
+        self.dropped += tally.dropped
+        self.duplicated += tally.duplicated
+        self.retried += tally.retried
+        self.corrupted += tally.corrupted
+        self.retry_latency += tally.retry_latency
+        self.bytes_delivered += tally.bytes_delivered
+        self.deliveries_failed += tally.deliveries_failed
 
     def goodput(self) -> float:
         """Accepted payload bytes as a fraction of all bytes sent.
@@ -200,7 +171,7 @@ class NetworkMeter:
         self.corrupted = 0
         self.retry_latency = 0.0
         self.bytes_delivered = 0
-        self.transfer_latencies.clear()
+        self.deliveries_failed = 0
 
 
 class SimulatedNetwork:

@@ -59,6 +59,12 @@ through scheduled loss, duplication, reordering and corruption:
   message is *resent* under bounded exponential backoff with jitter --
   ``messages``/``bytes_sent`` on the meter count every attempt, so goodput
   is honest;
+* the engine counts the faults, the transport only delivers: each
+  attempt's drops, duplicates and damaged copies are read off what came
+  back, into a tally of the session's own that the engine's meter
+  absorbs when the session ends, finished or aborted, so one session's
+  :class:`~repro.replication.history.ExchangeRecord` never counts
+  another's traffic, even when a driver interleaves sessions;
 * duplicate copies of an already-accepted message are no-ops (positional
   reassembly plus canonical bytes make re-delivery idempotent), and
   reordering is absorbed the same way;
@@ -107,7 +113,7 @@ from ..core.order import Ordering
 from ..core.reroot import reroot_group
 from ..kernel.clocks import KernelClock, VersionStampClock
 from ..kernel.stream import ClockStream, decode_stream, encode_stream
-from .faults import FaultyTransport, RetryPolicy
+from .faults import FaultyTransport, RetryPolicy, StuckLeg
 from .history import SyncHistory
 from .network import NetworkMeter, nearest_rank
 from .node import MobileNode, replicas_agree
@@ -136,8 +142,9 @@ class SessionAbort(Exception):
     where the generator restores both replicas from the session's
     transactional snapshots and re-raises, guaranteeing the aborted
     session left no half-merged key behind (the same I2-hazard
-    discipline the response-loss rollback follows).  The driver then
-    reports the abort as a typed
+    discipline the response-loss rollback follows).  The session's record
+    lists the keys it had not settled as lost to the abort.  The driver
+    then reports the abort as a typed
     :class:`~repro.core.errors.SessionTimeout`.
     """
 
@@ -160,14 +167,16 @@ class TransferEffect(NamedTuple):
     Emitted after the transport computed its deliveries and before the
     receiver validates them -- the point where, on a real network, the
     bytes would be in flight.  An asynchronous driver turns it into a
-    link-model delay (latency plus ``nbytes`` over bandwidth); the
-    synchronous driver ignores it.
+    link-model delay (latency plus ``nbytes`` over bandwidth) plus
+    ``hang``, the virtual seconds a stuck leg hung on this attempt; the
+    synchronous driver ignores it, hang included.
     """
 
     source: str
     destination: str
     messages: int
     nbytes: int
+    hang: float = 0.0
 
 
 @dataclass
@@ -212,19 +221,21 @@ class RoundReport:
 
 @dataclass
 class RunReport:
-    """Summary of one ``run()`` of either gossip driver."""
+    """Summary of one ``run()`` of either gossip driver, and only of it."""
 
     replicas: int
     rounds: List[RoundReport]
     #: First round after which the cluster was converged (None: never).
     converged_after: Optional[int]
-    meter: NetworkMeter
     shards: int = 1
     #: Virtual seconds the run took (0.0 for the immediate-time driver).
     virtual_seconds: float = 0.0
     #: Aggregate health counters (``HealthMonitor.counters()``) captured
     #: when the run finished; ``None`` when the health layer was off.
     health: Optional[Dict[str, int]] = None
+    #: Virtual seconds of every transfer leg the run priced, in order
+    #: (empty for the immediate-time driver, which prices none).
+    leg_latencies: List[float] = field(default_factory=list, repr=False)
 
     @property
     def total_exchanges(self) -> int:
@@ -267,18 +278,17 @@ class RunReport:
     def session_latency_percentiles(
         self, quantiles: Sequence[float] = (0.5, 0.9, 0.99)
     ) -> Dict[float, float]:
-        """Tail latency of individual transfer legs, from the meter."""
-        return self.meter.latency_percentiles(quantiles)
+        """Nearest-rank tail latency of this run's transfer legs."""
+        return nearest_rank(self.leg_latencies, quantiles)
 
     def as_dict(self) -> Dict[str, object]:
         """A JSON-serializable view of the whole run (``--json`` output).
 
         Everything a dashboard or regression script needs: totals, the
-        fault economy, every field of each round's report, tail
-        percentiles and -- when the health layer ran -- its aggregate
-        counters.
+        fault economy summed over the run's rounds, every field of each
+        round's report, tail percentiles and -- when the health layer
+        ran -- its aggregate counters.
         """
-        meter = self.meter
         return {
             "replicas": self.replicas,
             "shards": self.shards,
@@ -293,11 +303,10 @@ class RunReport:
                 "hedges": self.total_hedges,
             },
             "faults": {
-                "dropped": meter.dropped,
-                "duplicated": meter.duplicated,
-                "retried": meter.retried,
-                "corrupted": meter.corrupted,
-                "retry_latency": meter.retry_latency,
+                name: sum(getattr(r, name) for r in self.rounds)
+                for name in (
+                    "dropped", "duplicated", "retried", "corrupted", "retry_latency"
+                )
             },
             "round_duration_percentiles": {
                 str(q): v for q, v in self.round_duration_percentiles().items()
@@ -319,9 +328,9 @@ class WireSyncEngine:
     Parameters
     ----------
     meter:
-        The :class:`~repro.replication.network.NetworkMeter` recording
-        messages, bytes and fault counters; a fresh one is created when
-        omitted.
+        The :class:`~repro.replication.network.NetworkMeter` that absorbs
+        every session's tally of messages, bytes and fault counters; a
+        fresh one is created when omitted.
     transport:
         Optional :class:`~repro.replication.faults.FaultyTransport`; when
         given, every transfer leg is delivered through its fault plan and
@@ -340,9 +349,9 @@ class WireSyncEngine:
     history:
         Optional :class:`~repro.replication.history.SyncHistory` -- a
         bounded ring buffer that receives one
-        :class:`~repro.replication.history.ExchangeRecord` per completed
-        session (which keys completed, which were lost to faults, the
-        exchange's fault-counter deltas).  This is what contract
+        :class:`~repro.replication.history.ExchangeRecord` per session,
+        finished or aborted (which keys completed, which were lost and
+        why, the session's own tally).  This is what contract
         provenance reconstruction walks; without it the engine keeps the
         pre-existing transient reporting only.
 
@@ -377,11 +386,6 @@ class WireSyncEngine:
         self.verify_checksums = verify_checksums
         self.history = history
         self._retry_rng = random.Random(retry_seed)
-        if transport is not None and transport.meter is None:
-            # One meter carries the whole fault economy: the transport
-            # records ground truth (drops, duplicates, corruption), the
-            # engine records attempts, retries and accepted deliveries.
-            transport.meter = self.meter
         #: Stamps that crossed the wire (both directions, all syncs).
         self.stamps_shipped = 0
         #: Keys settled by the digest leg (equal digests, nothing shipped).
@@ -389,14 +393,17 @@ class WireSyncEngine:
         #: Always 0: the digest leg replaced the EQUAL verdict cache this
         #: counted.  ``perfbench/tracing.py`` still reads it.
         self.equal_cache_hits = 0
-        #: Messages given up on after exhausting the retry budget.
-        self.deliveries_failed = 0
         #: Frames skipped via the typed FrameRejected path (all syncs).
         self.frames_rejected = 0
         #: Stale-epoch stragglers fiat-upgraded during merges (all syncs).
         self.epoch_upgrades = 0
 
     _CRC_BYTES = 4
+
+    @property
+    def deliveries_failed(self) -> int:
+        """Messages given up on after exhausting the retry budget (the meter's)."""
+        return self.meter.deliveries_failed
 
     @staticmethod
     def _clock_of(store: StoreReplica, key: str, state: KeyState) -> KernelClock:
@@ -431,6 +438,7 @@ class WireSyncEngine:
 
     def _deliver_batch(
         self,
+        tally: NetworkMeter,
         source: str,
         destination: str,
         blobs: Sequence[bytes],
@@ -443,9 +451,14 @@ class WireSyncEngine:
         *returns* ``blob index -> validated result`` via ``StopIteration``.
         The synchronous driver exhausts it ignoring every effect; the
         service interpreter waits out the effects on the virtual clock -- either
-        way the computation, RNG draws and meter counters are the same
+        way the computation, RNG draws and counts are the same
         code in the same order, which is what makes the two paths
         lockstep-equal on identical schedules.
+
+        Every count lands in ``tally``, the session's own.  The faults of
+        each attempt are read off its deliveries: a message with no copy
+        back was dropped, copies after the first are duplicates, and a
+        copy whose bytes differ from what was sent was corrupted.
 
         An index missing from the result exhausted the retry budget (lost
         or damaged on every attempt) and the caller degrades without it.
@@ -458,14 +471,13 @@ class WireSyncEngine:
         """
         results: Dict[int, object] = {}
         if self.transport is None:
-            total = 0
-            for blob in blobs:
-                self.meter.record(len(blob))
-                total += len(blob)
+            nbytes = sum(map(len, blobs))
+            tally.messages += len(blobs)
+            tally.bytes_sent += nbytes
             if blobs:
-                yield TransferEffect(source, destination, len(blobs), total)
+                yield TransferEffect(source, destination, len(blobs), nbytes)
+            tally.bytes_delivered += nbytes
             for index, blob in enumerate(blobs):
-                self.meter.record_delivery(len(blob))
                 results[index] = validate(index, blob)
             return results
         policy = self.retry
@@ -478,16 +490,27 @@ class WireSyncEngine:
                 latency = sum(
                     policy.delay(attempt - 1, self._retry_rng) for _ in pending
                 )
-                self.meter.record_retry(len(pending), latency)
+                tally.retried += len(pending)
+                tally.retry_latency += latency
                 yield SleepEffect(latency)
-            nbytes = 0
-            for index in pending:
-                self.meter.record(len(sealed[index]))
-                nbytes += len(sealed[index])
-            deliveries = self.transport.transfer_batch(
-                source, destination, [sealed[index] for index in pending]
-            )
-            yield TransferEffect(source, destination, len(pending), nbytes)
+            sent = [sealed[index] for index in pending]
+            nbytes = sum(map(len, sent))
+            tally.messages += len(sent)
+            tally.bytes_sent += nbytes
+            deliveries = self.transport.transfer_batch(source, destination, sent)
+            # The attempt's faults, counted before its effect: an abort
+            # thrown there does not unsend what the transport did.
+            copies = [0] * len(sent)
+            for position, payload in deliveries:
+                copies[position] += 1
+                if payload != sent[position]:
+                    tally.corrupted += 1
+            lost = copies.count(0)
+            tally.dropped += lost
+            # Every copy beyond the first of each message that arrived.
+            tally.duplicated += len(deliveries) - (len(sent) - lost)
+            hang = deliveries.hang if isinstance(deliveries, StuckLeg) else 0.0
+            yield TransferEffect(source, destination, len(sent), nbytes, hang)
             for position, payload in deliveries:
                 index = pending[position]
                 if index in results:
@@ -500,13 +523,14 @@ class WireSyncEngine:
                 except EncodingError:
                     # Damaged in flight; a later attempt may succeed.
                     continue
-                self.meter.record_delivery(len(payload))
+                tally.bytes_delivered += len(payload)
             pending = [index for index in pending if index not in results]
-        self.deliveries_failed += len(pending)
+        tally.deliveries_failed += len(pending)
         return results
 
     def _ship(
         self,
+        tally: NetworkMeter,
         sender: StoreReplica,
         receiver: StoreReplica,
         items: List[Tuple[str, KeyState]],
@@ -517,8 +541,8 @@ class WireSyncEngine:
         *return value* is ``key -> (stream, index)`` on the receiving side:
         the key's clock is frame ``index`` of a delivered
         :class:`~repro.kernel.stream.ClockStream`, decoded lazily when the
-        merge reads it.  One stream per (family, epoch) group; the meter
-        sees every message and attempt.  Keys whose message exhausted the
+        merge reads it.  One stream per (family, epoch) group; ``tally``
+        counts every message and attempt.  Keys whose message exhausted the
         transport retry budget are simply absent from the result -- the
         caller skips them and a later round heals the difference.
         """
@@ -556,7 +580,7 @@ class WireSyncEngine:
             return stream
 
         results = yield from self._deliver_batch(
-            sender.name, receiver.name, blobs, validate_stream
+            tally, sender.name, receiver.name, blobs, validate_stream
         )
         for index, (_, members) in enumerate(ordered):
             stream = results.get(index)
@@ -653,11 +677,12 @@ class WireSyncEngine:
         point where a real network would spend time, and returns the
         :class:`~repro.replication.store.MergeReport` via
         ``StopIteration.value``.  All state mutation, RNG consumption and
-        meter accounting happen *inside* the generator, so any driver --
-        the synchronous :meth:`sync`, the virtual-time service --
-        produces identical merges, fault schedules and counters for the
-        same call sequence; drivers differ only in what they do with the
-        effects.
+        counting happen *inside* the generator, so any driver -- the
+        synchronous :meth:`sync`, the virtual-time service -- produces
+        identical merges, fault schedules and counters for the same call
+        sequence; drivers differ only in what they do with the effects.
+        The session counts its traffic on a tally of its own, which the
+        engine's :attr:`meter` absorbs when the session ends.
 
         The session runs three legs (module docstring): a digest leg
         from ``first`` settles the keys whose digests match, and the
@@ -675,93 +700,97 @@ class WireSyncEngine:
         state when the abort propagates.  An abort at the digest or
         request leg finds nothing changed yet; one at the response leg
         restores the transactional snapshots the session took of the
-        keys the digest leg left.
+        keys the digest leg left.  An aborted session still leaves its
+        record and its tally: keys its digests settled count as synced,
+        and every other key is lost as ``"aborted"``.
         """
         if first is second:
             raise ReplicationError("a store replica cannot synchronize with itself")
         report = MergeReport()
-        history = self.history
-        if history is not None:
-            meter = self.meter
-            before_messages, before_bytes = meter.snapshot()
-            before_faults = meter.fault_snapshot()
-            before_failed = self.deliveries_failed
+        tally = NetworkMeter()
         spanned = set(first._keys) | set(second._keys)
         if keys is not None:
             spanned &= set(keys)
         keys = sorted(spanned)
-
-        # Digest leg.  Nothing has changed yet, so an abort thrown at one
-        # of its effects leaves nothing to restore.
-        settled = yield from self._digest_leg(first, second, keys)
-        if settled is None:
-            # Lost past the retry budget, like a lost request leg: every
-            # key stays untouched until a later round.
-            pending: List[str] = []
-            request_lost = keys
-        else:
-            pending = [key for key in keys if key not in settled]
-            request_lost = []
-            self.equal_bytes_skips += len(settled)
-        report.keys_examined += len(keys) - len(pending)
-        changed: List[str] = []
-        rolled_back = set()
-        if pending:
-            first._exchanges_open += 1
-            second._exchanges_open += 1
-            try:
-                changed, request_lost, rolled_back = yield from self._exchange(
-                    first, second, pending, report
+        settled = lost = None
+        try:
+            # Digest leg.  Nothing has changed yet, so an abort thrown at
+            # one of its effects leaves nothing to restore.
+            settled = yield from self._digest_leg(tally, first, second, keys)
+            if settled is None:
+                # Lost past the retry budget, like a lost request leg:
+                # every key stays untouched until a later round.
+                pending: List[str] = []
+                request_lost = keys
+            else:
+                pending = [key for key in keys if key not in settled]
+                request_lost = []
+                self.equal_bytes_skips += len(settled)
+            report.keys_examined += len(keys) - len(pending)
+            changed: List[str] = []
+            rolled_back = set()
+            if pending:
+                first._exchanges_open += 1
+                second._exchanges_open += 1
+                try:
+                    changed, request_lost, rolled_back = yield from self._exchange(
+                        tally, first, second, pending, report
+                    )
+                finally:
+                    first._exchanges_open -= 1
+                    second._exchanges_open -= 1
+            # Rolled-back keys are byte-identical to their already journaled
+            # pre-sync state, so the barrier journals only completed changes.
+            # A crash mid-sync thus recovers to the pre-sync state -- exactly
+            # what the per-key rollback would have produced.
+            first._commit_sync(
+                second, (key for key in changed if key not in rolled_back)
+            )
+            self.frames_rejected += len(report.frames_rejected)
+            self.epoch_upgrades += report.epoch_upgrades
+            if self.history is not None:
+                lost = [(key, "request-lost") for key in request_lost]
+                lost.extend((key, "response-lost") for key in sorted(rolled_back))
+                lost.extend(
+                    (frame.key, f"rejected:{frame.stage}: {frame.reason}")
+                    for frame in report.frames_rejected
                 )
-            finally:
-                first._exchanges_open -= 1
-                second._exchanges_open -= 1
-        # Rolled-back keys are byte-identical to their already journaled
-        # pre-sync state, so the barrier journals only completed changes.
-        # A crash mid-sync thus recovers to the pre-sync state -- exactly
-        # what the per-key rollback would have produced.
-        first._commit_sync(
-            second, (key for key in changed if key not in rolled_back)
-        )
-        self.frames_rejected += len(report.frames_rejected)
-        self.epoch_upgrades += report.epoch_upgrades
-        if history is not None:
-            # One ExchangeRecord per session: which keys completed (both
-            # sides now share the combined knowledge), which were lost to
-            # faults and why, plus this session's fault-counter deltas --
-            # the raw material contract provenance reconstruction walks.
-            lost: List[Tuple[str, str]] = [
-                (key, "request-lost") for key in request_lost
-            ]
-            lost.extend((key, "response-lost") for key in sorted(rolled_back))
-            lost.extend(
-                (frame.key, f"rejected:{frame.stage}: {frame.reason}")
-                for frame in report.frames_rejected
-            )
-            lost_keys = {key for key, _ in lost}
-            meter = self.meter
-            after_messages, after_bytes = meter.snapshot()
-            dropped, duplicated, retried, corrupted, _ = (
-                after - before
-                for after, before in zip(meter.fault_snapshot(), before_faults)
-            )
-            history.append(
-                first=first.name,
-                second=second.name,
-                keys_synced=tuple(k for k in keys if k not in lost_keys),
-                keys_lost=tuple(lost),
-                messages=after_messages - before_messages,
-                bytes_sent=after_bytes - before_bytes,
-                dropped=int(dropped),
-                duplicated=int(duplicated),
-                retried=int(retried),
-                corrupted=int(corrupted),
-                deliveries_failed=self.deliveries_failed - before_failed,
-            )
+        except SessionAbort:
+            if self.history is not None:
+                # Both replicas are as they were before the session, so
+                # every key the digests did not settle is lost to the abort.
+                kept = settled or ()
+                lost = [(key, "aborted") for key in keys if key not in kept]
+            raise
+        finally:
+            self.meter.absorb(tally)
+            if lost is not None:
+                # One ExchangeRecord per session: which keys completed
+                # (both sides now share the combined knowledge), which
+                # were lost and why, and the session's own tally -- the
+                # raw material contract provenance reconstruction walks.
+                lost_keys = {key for key, _ in lost}
+                self.history.append(
+                    first=first.name,
+                    second=second.name,
+                    keys_synced=tuple(key for key in keys if key not in lost_keys),
+                    keys_lost=tuple(lost),
+                    messages=tally.messages,
+                    bytes_sent=tally.bytes_sent,
+                    dropped=tally.dropped,
+                    duplicated=tally.duplicated,
+                    retried=tally.retried,
+                    corrupted=tally.corrupted,
+                    deliveries_failed=tally.deliveries_failed,
+                )
         return report
 
     def _digest_leg(
-        self, first: StoreReplica, second: StoreReplica, keys: List[str]
+        self,
+        tally: NetworkMeter,
+        first: StoreReplica,
+        second: StoreReplica,
+        keys: List[str],
     ):
         """Ship ``first``'s key digests to ``second``; return the keys they settle.
 
@@ -803,7 +832,7 @@ class WireSyncEngine:
             return body
 
         delivered = yield from self._deliver_batch(
-            first.name, second.name, [blob], validate_digests
+            tally, first.name, second.name, [blob], validate_digests
         )
         body = delivered.get(0)
         if body is None:
@@ -816,6 +845,7 @@ class WireSyncEngine:
 
     def _exchange(
         self,
+        tally: NetworkMeter,
         first: StoreReplica,
         second: StoreReplica,
         keys: List[str],
@@ -841,7 +871,7 @@ class WireSyncEngine:
         # abort thrown at one of this leg's effects arrives before any
         # merge ran, so it has nothing to restore.
         held = [(key, second._keys[key]) for key in keys if key in second._keys]
-        received = yield from self._ship(second, first, held)
+        received = yield from self._ship(tally, second, first, held)
 
         changed: List[str] = []
         request_lost: List[str] = []
@@ -897,7 +927,7 @@ class WireSyncEngine:
         # this leg completes -- so a crash-after-abort recovers cleanly).
         try:
             returned = yield from self._ship(
-                first, second, [(key, second._keys[key]) for key in changed]
+                tally, first, second, [(key, second._keys[key]) for key in changed]
             )
         except SessionAbort:
             for key, (mine_snap, theirs_snap) in backup.items():
@@ -1133,7 +1163,6 @@ class AntiEntropy:
             replicas=len(self.nodes),
             rounds=rounds,
             converged_after=converged_after,
-            meter=self.engine.meter,
         )
 
     # -- decentralized re-rooting (epoch gossip) ---------------------------

@@ -462,17 +462,14 @@ class AntiEntropyService(AntiEntropy):
         if schedule is None and max_rounds is None:
             raise ValueError("pass either schedule or max_rounds")
         interpreter = Interpreter(
-            link=self.link,
-            link_rng=self._link_rng,
-            meter=self.engine.meter,
-            degradation=self.degradation,
-            transport=self.transport,
+            link=self.link, link_rng=self._link_rng, degradation=self.degradation
         )
         rows = schedule if schedule is not None else repeat(None, max_rounds)
         rounds = (self._run_round(interpreter, pairs) for pairs in rows)
         report = self._run(rounds, until_converged, advance_network, on_round)
         report.shards = self.shards.count
         report.virtual_seconds = interpreter.now
+        report.leg_latencies = interpreter.leg_latencies
         if self.health is not None:
             report.health = self.health.counters()
         return report

@@ -18,12 +18,18 @@ happens, and that takes three small pieces:
   run one at a time and in submission order, nothing waits while holding
   a slot, and jobs on disjoint slots overlap freely.
 * **One effect-step function**, :meth:`Interpreter._step`.  It prices a
-  transfer leg with the link model, the grey shaping and any stuck-session
-  hang the transport charged, or waits out a retry backoff.  A job with a
-  deadline whose next wait would cross it spends only what is left of the
-  budget, then has :class:`~repro.replication.synchronizer.SessionAbort`
-  thrown into its session -- which rolls both replicas back -- and ends
-  with a typed :class:`~repro.core.errors.SessionTimeout`.
+  transfer leg with the link model, the grey shaping and the hang of a
+  stuck leg (which rides the leg's effect), or waits out a retry backoff.
+  A job with a deadline whose next wait would cross it spends only what
+  is left of the budget, then has
+  :class:`~repro.replication.synchronizer.SessionAbort` thrown into its
+  session -- which rolls both replicas back -- and ends with a typed
+  :class:`~repro.core.errors.SessionTimeout`.
+
+The interpreter reads effects and nothing else: it never calls the
+transport, and it counts no messages.  It keeps the price of every leg
+it waited out in :attr:`Interpreter.leg_latencies`, for the run that
+owns it to report.
 """
 
 from __future__ import annotations
@@ -36,7 +42,6 @@ from typing import Deque, Dict, Hashable, List, Optional, Tuple
 
 from ..core.errors import SessionTimeout
 from ..replication.degradation import DegradationState
-from ..replication.network import NetworkMeter
 from ..replication.synchronizer import SessionAbort, SleepEffect, TransferEffect
 from .links import LinkProfile
 
@@ -89,9 +94,8 @@ class Interpreter:
 
     ``link`` and ``link_rng`` price transfer legs; the RNG is the
     caller's own, never the transport's fault RNG, so link timing cannot
-    shift a fault schedule.  ``degradation`` (with the ``transport`` that
-    resolved it) adds grey shaping and stuck-session hangs.  Every leg's
-    price is recorded in ``meter``.
+    shift a fault schedule.  ``degradation`` adds grey shaping.  Every
+    leg's price is appended to :attr:`leg_latencies`.
     """
 
     def __init__(
@@ -99,16 +103,14 @@ class Interpreter:
         *,
         link: Optional[LinkProfile] = None,
         link_rng: Optional[random.Random] = None,
-        meter: Optional[NetworkMeter] = None,
         degradation: Optional[DegradationState] = None,
-        transport=None,
     ) -> None:
         self.now = 0.0
         self.link = link if link is not None else LinkProfile()
         self.link_rng = link_rng if link_rng is not None else random.Random(0)
-        self.meter = meter if meter is not None else NetworkMeter()
         self.degradation = degradation
-        self.transport = transport
+        #: Virtual seconds of every transfer leg priced so far, in order.
+        self.leg_latencies: List[float] = []
         self._heap: List[Tuple[float, int, Job]] = []
         self._seq = count()
         self._queues: Dict[Slot, Deque[Job]] = {}
@@ -172,10 +174,11 @@ class Interpreter:
                     wait = self.degradation.shape_leg(
                         effect.source, effect.destination, wait, now=self.now
                     )
-                    # A stuck-session hang: the transport already dropped
-                    # the leg's deliveries; the session pays the hang time.
-                    wait += self.transport.take_pending_hang()
-                self.meter.record_transfer_latency(wait)
+                if effect.hang:
+                    # A stuck leg: nothing was delivered, and the session
+                    # pays the hang time on top of the leg's price.
+                    wait += effect.hang
+                self.leg_latencies.append(wait)
             elif kind is SleepEffect:
                 wait = effect.seconds
             else:

@@ -219,7 +219,6 @@ class TestMidSyncCrash:
         class DyingTransport:
             def __init__(self):
                 self.legs = 0
-                self.meter = None
                 self.plan = FaultPlan()
 
             def transfer_batch(self, source, destination, blobs):

@@ -55,7 +55,6 @@ class _LosingTransport:
     def __init__(self, delivered=0):
         self.delivered = delivered
         self.calls = 0
-        self.meter = None
         self.plan = FaultPlan()
 
     def transfer_batch(self, source, destination, blobs):

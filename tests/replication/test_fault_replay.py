@@ -6,10 +6,13 @@ same transport deliveries -- byte for byte, in the same order -- and the
 same meter counters, on the synchronous engine path *and* on both async
 service paths (lockstep and overlap).  Any hidden nondeterminism (an
 unseeded RNG, hash-order iteration, wall-clock coupling) breaks this.
+The engine's fault counters are a recount of those deliveries against
+the blobs sent.
 """
 
 import dataclasses
 import random
+from collections import Counter
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -36,14 +39,16 @@ ROUNDS = 3
 
 
 class RecordingTransport(FaultyTransport):
-    """A fault transport that journals every delivery it produces."""
+    """A fault transport that journals every batch sent and delivered."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
+        self.sent = []
         self.deliveries = []
 
     def transfer_batch(self, source, destination, blobs):
         delivered = super().transfer_batch(source, destination, blobs)
+        self.sent.append(tuple(bytes(blob) for blob in blobs))
         self.deliveries.append(
             (source, destination, tuple((i, bytes(p)) for i, p in delivered))
         )
@@ -111,6 +116,35 @@ def _run_async(plan, seed, *, lockstep, health=None, internal_schedule=False):
 @given(plan=fault_plans(), seed=st.integers(min_value=0, max_value=2**16))
 def test_sync_fault_schedule_replays_byte_identically(plan, seed):
     assert _run_sync(plan, seed) == _run_sync(plan, seed)
+
+
+@settings(max_examples=15, deadline=None)
+@given(plan=fault_plans(), seed=st.integers(min_value=0, max_value=2**16))
+def test_engine_fault_counts_recount_the_deliveries(plan, seed):
+    """The transport only delivers; the engine's counts match a recount.
+
+    A sent message with no copy back was dropped, copies after the first
+    are duplicates, and a copy whose bytes differ from the blob sent was
+    corrupted.
+    """
+    nodes, _ = build_cluster(REPLICAS, keys=KEYS, seed=seed)
+    transport = RecordingTransport(nodes[0].network, plan=plan, seed=seed)
+    engine = WireSyncEngine(transport=transport)
+    schedule = gossip_schedule(REPLICAS, ROUNDS, seed=seed)
+    replay_schedule_sync(nodes, schedule, engine, shards=2)
+    dropped = duplicated = corrupted = 0
+    for blobs, (_, _, delivered) in zip(transport.sent, transport.deliveries):
+        copies = Counter(index for index, _ in delivered)
+        dropped += len(blobs) - len(copies)
+        duplicated += sum(count - 1 for count in copies.values())
+        corrupted += sum(payload != blobs[index] for index, payload in delivered)
+    meter = engine.meter
+    assert transport.sent
+    assert (meter.dropped, meter.duplicated, meter.corrupted) == (
+        dropped,
+        duplicated,
+        corrupted,
+    )
 
 
 @settings(max_examples=10, deadline=None)

@@ -23,11 +23,7 @@ from repro.replication import (
     RetryPolicy,
     WireSyncEngine,
 )
-from repro.replication.network import (
-    FullyConnectedNetwork,
-    NetworkMeter,
-    PartitionedNetwork,
-)
+from repro.replication.network import FullyConnectedNetwork, PartitionedNetwork
 
 FAMILIES = ["version-stamp", "itc", "vv-dynamic", "causal-history"]
 
@@ -86,28 +82,20 @@ class TestFaultPlan:
 
 
 class TestFaultyTransport:
-    def test_loss_drops_messages_and_meters_them(self):
-        meter = NetworkMeter()
+    def test_loss_drops_every_message(self):
         transport = FaultyTransport(
-            FullyConnectedNetwork(),
-            plan=FaultPlan(loss=1.0),
-            seed=1,
-            meter=meter,
+            FullyConnectedNetwork(), plan=FaultPlan(loss=1.0), seed=1
         )
         assert transport.transfer_batch("a", "b", [b"x"] * 5) == []
-        assert meter.dropped == 5
 
     def test_duplication_delivers_extra_copies(self):
-        meter = NetworkMeter()
         transport = FaultyTransport(
             FullyConnectedNetwork(),
             plan=FaultPlan(duplicate=1.0, max_duplicates=1),
             seed=2,
-            meter=meter,
         )
         deliveries = transport.transfer_batch("a", "b", [b"payload"])
         assert [payload for _, payload in deliveries] == [b"payload", b"payload"]
-        assert meter.duplicated == 1
 
     def test_corruption_flips_exactly_the_configured_bits(self):
         transport = FaultyTransport(
@@ -339,8 +327,6 @@ class _ResponseLegKiller(FaultyTransport):
     def transfer_batch(self, source, destination, blobs):
         self.legs_seen += 1
         if self.armed and self.legs_seen > 1:
-            if self.meter is not None:
-                self.meter.record_drop(len(blobs))
             return []
         return super().transfer_batch(source, destination, blobs)
 

@@ -8,7 +8,6 @@ from repro.core.errors import ReplicationError
 from repro.replication.network import (
     FullyConnectedNetwork,
     LatencyPercentiles,
-    NetworkMeter,
     nearest_rank,
     NodePosition,
     PartitionSchedule,
@@ -16,6 +15,7 @@ from repro.replication.network import (
     ProximityNetwork,
     ScheduledNetwork,
 )
+from repro.replication.synchronizer import RunReport
 
 
 class TestFullyConnected:
@@ -143,65 +143,47 @@ class TestProximityNetwork:
             ProximityNetwork(radio_range=0)
 
 
-class TestLatencyPercentiles:
+class TestNearestRank:
     """Nearest-rank tail percentiles and the typed empty result."""
 
-    def test_empty_meter_returns_typed_empty_result(self):
-        result = NetworkMeter().latency_percentiles()
+    def test_no_samples_give_a_typed_empty_result(self):
+        result = nearest_rank([], (0.5, 0.9, 0.99))
         assert isinstance(result, LatencyPercentiles)
         assert result.empty
         assert result.samples == 0
         assert result == {0.5: 0.0, 0.9: 0.0, 0.99: 0.0}
 
     def test_single_sample_answers_every_quantile(self):
-        meter = NetworkMeter()
-        meter.record_transfer_latency(0.25)
-        result = meter.latency_percentiles((0.01, 0.5, 0.99, 1.0))
+        result = nearest_rank([0.25], (0.01, 0.5, 0.99, 1.0))
         assert not result.empty
         assert result.samples == 1
         assert all(value == 0.25 for value in result.values())
 
     def test_p99_of_two_samples_is_the_larger(self):
-        meter = NetworkMeter()
-        meter.record_transfer_latency(0.1)
-        meter.record_transfer_latency(0.9)
-        result = meter.latency_percentiles((0.5, 0.99))
+        result = nearest_rank([0.1, 0.9], (0.5, 0.99))
         assert result.samples == 2
         assert result[0.5] == 0.1  # ceil(0.5 * 2) - 1 == 0
         assert result[0.99] == 0.9  # ceil(0.99 * 2) - 1 == 1
 
     def test_nearest_rank_on_a_known_population(self):
-        meter = NetworkMeter()
-        for value in (5.0, 1.0, 3.0, 2.0, 4.0):
-            meter.record_transfer_latency(value)
-        result = meter.latency_percentiles((0.5, 0.9, 0.99))
+        result = nearest_rank([5.0, 1.0, 3.0, 2.0, 4.0], (0.5, 0.9, 0.99))
         assert result[0.5] == 3.0
         assert result[0.9] == 5.0
         assert result[0.99] == 5.0
         assert result.samples == 5
 
     def test_subscripting_stays_dict_compatible(self):
-        meter = NetworkMeter()
-        meter.record_transfer_latency(1.5)
-        result = meter.latency_percentiles()
+        result = nearest_rank([1.5], (0.5, 0.9, 0.99))
         assert result[0.5] == 1.5
         assert sorted(result) == [0.5, 0.9, 0.99]
 
-
-class TestNearestRank:
-    """The one percentile helper the meter and the service report share."""
-
-    def test_matches_the_meter(self):
+    def test_a_run_report_ranks_its_own_legs(self):
         samples = [0.4, 0.1, 0.9, 0.3, 0.7, 0.2]
-        meter = NetworkMeter()
-        for value in samples:
-            meter.record_transfer_latency(value)
+        report = RunReport(
+            replicas=2, rounds=[], converged_after=None, leg_latencies=samples
+        )
         quantiles = (0.1, 0.5, 0.9, 0.99)
-        assert nearest_rank(samples, quantiles) == meter.latency_percentiles(quantiles)
-        assert nearest_rank(samples, quantiles).samples == len(samples)
-
-    def test_no_samples_give_a_typed_empty_result(self):
-        result = nearest_rank([], (0.5, 0.99))
-        assert isinstance(result, LatencyPercentiles)
-        assert result.empty
-        assert result == {0.5: 0.0, 0.99: 0.0}
+        assert report.session_latency_percentiles(quantiles) == nearest_rank(
+            samples, quantiles
+        )
+        assert report.session_latency_percentiles().samples == len(samples)

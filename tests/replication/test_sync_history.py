@@ -21,6 +21,7 @@ from repro.replication import (
     WireSyncEngine,
 )
 from repro.replication.network import FullyConnectedNetwork
+from repro.replication.synchronizer import SessionAbort, TransferEffect
 
 
 def _two_nodes(family="version-stamp"):
@@ -108,6 +109,28 @@ class TestSyncHistoryUnit:
         assert record.involves("k") and not record.carried("k")
         assert record.dropped >= 2
         assert record.deliveries_failed == 1
+
+    def test_an_aborted_session_records_its_keys_and_tally(self):
+        a, b = _two_nodes()
+        history = SyncHistory(maxlen=8)
+        engine = WireSyncEngine(history=history)
+        a.write("same", 1)
+        engine.sync(a.store, b.store)
+        sent = engine.meter.messages
+        a.write("fresh", 2)
+        session = engine.session(a.store, b.store)
+        assert isinstance(next(session), TransferEffect)  # digest leg
+        assert isinstance(next(session), TransferEffect)  # response leg
+        with pytest.raises(SessionAbort):
+            session.throw(SessionAbort())
+        record = history.records()[-1]
+        assert record.seq == 1
+        # The digests settled "same"; the rollback undid "fresh".
+        assert record.keys_synced == ("same",)
+        assert record.keys_lost == (("fresh", "aborted"),)
+        assert b.store.get("fresh") == []
+        assert record.messages == 2
+        assert engine.meter.messages == sent + 2
 
 
 @pytest.mark.parametrize("family", ["version-stamp", "causal-history"])

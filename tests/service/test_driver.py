@@ -118,6 +118,101 @@ def test_round_records_add_up_to_the_meter(build):
     assert all(0.0 < round_report.goodput <= 1.0 for round_report in report.rounds)
 
 
+#: The exchange-record counters that must add up to the meter's deltas.
+RECORD_COUNTERS = COUNTERS + ("deliveries_failed",)
+
+
+def _record_sums(history):
+    return {
+        name: sum(getattr(record, name) for record in history)
+        for name in RECORD_COUNTERS
+    }
+
+
+def _engine_counts(engine):
+    counts = _meter_counts(engine.meter)
+    counts["deliveries_failed"] = engine.deliveries_failed
+    return counts
+
+
+@pytest.mark.parametrize("lockstep", [False, True], ids=["overlap", "lockstep"])
+def test_exchange_records_add_up_to_the_meter(lockstep):
+    # Overlap mode interleaves sessions of one round, so a session that
+    # read the shared meter across its own waits counted its neighbours.
+    nodes, _ = build_cluster(40, keys=8, seed=5)
+    transport = FaultyTransport(
+        nodes[0].network, plan=FaultPlan.chaos(loss=0.1), seed=5
+    )
+    history = SyncHistory(maxlen=100_000)
+    engine = WireSyncEngine(transport=transport, history=history)
+    service = AntiEntropyService(
+        nodes, engine=engine, shards=4, seed=5, lockstep=lockstep,
+        link=LinkProfile(latency=0.001),
+    )
+    service.run(max_rounds=6, until_converged=False)
+    counts = _engine_counts(engine)
+    assert counts["dropped"] > 0 and history.evicted == 0
+    assert _record_sums(history) == counts
+
+
+def test_each_timed_out_session_leaves_one_aborted_record():
+    driver = _grey_service()
+    history = driver.engine.history = SyncHistory(maxlen=100_000)
+    report = driver.run(12, until_converged=False)
+    aborted = [
+        record
+        for record in history
+        if any(reason == "aborted" for _, reason in record.keys_lost)
+    ]
+    assert report.total_timeouts > 0
+    assert len(aborted) == report.total_timeouts
+    assert _record_sums(history) == _engine_counts(driver.engine)
+
+
+def test_a_hang_drawn_on_a_sync_path_costs_no_service_leg():
+    nodes, _ = build_cluster(30, keys=4, seed=5)
+    plan = DegradationPlan(slow_fraction=0.5, stuck_rate=0.5)
+    transport = FaultyTransport(
+        nodes[0].network, plan=FaultPlan(degradation=plan), seed=5
+    )
+    link = LinkProfile(latency=0.001)
+    service = AntiEntropyService(
+        nodes, engine=WireSyncEngine(transport=transport), link=link, seed=5
+    )
+    for _ in range(3):
+        service.run_round()
+    assert transport.degradation.stuck_legs > 0
+    report = service.run(max_rounds=1)
+    longest = report.session_latency_percentiles((1.0,))[1.0]
+    # One stuck hang plus the slowest endpoint's shaping of one link delay.
+    assert longest <= plan.stuck_seconds + link.latency * plan.slow_factor[1] + 1e-9
+
+
+def test_each_run_report_covers_only_its_run():
+    nodes, _ = build_cluster(20, keys=4, seed=5)
+    transport = FaultyTransport(nodes[0].network, plan=FaultPlan.lossy(0.2), seed=5)
+    service = AntiEntropyService(
+        nodes, engine=WireSyncEngine(transport=transport), seed=5,
+        link=LinkProfile(latency=0.001, jitter=0.5),
+    )
+    reports = [service.run(max_rounds=5, until_converged=False) for _ in range(2)]
+    for report in reports:
+        faults = report.as_dict()["faults"]
+        for name in ("dropped", "duplicated", "retried", "corrupted"):
+            assert faults[name] == sum(getattr(r, name) for r in report.rounds), name
+    assert reports[1].as_dict()["faults"]["dropped"] > 0
+    # The same ten rounds in one run price the same legs, in order.
+    nodes, _ = build_cluster(20, keys=4, seed=5)
+    transport = FaultyTransport(nodes[0].network, plan=FaultPlan.lossy(0.2), seed=5)
+    whole = AntiEntropyService(
+        nodes, engine=WireSyncEngine(transport=transport), seed=5,
+        link=LinkProfile(latency=0.001, jitter=0.5),
+    ).run(max_rounds=10, until_converged=False)
+    samples = [report.session_latency_percentiles().samples for report in reports]
+    assert samples[0] > 0
+    assert sum(samples) == whole.session_latency_percentiles().samples
+
+
 def test_a_population_over_a_faulty_transport_gossips_on_the_service():
     transport = FaultyTransport(
         FullyConnectedNetwork(), plan=FaultPlan.lossy(0.1), seed=5
@@ -126,7 +221,7 @@ def test_a_population_over_a_faulty_transport_gossips_on_the_service():
     engine = WireSyncEngine(transport=transport)
     service = AntiEntropyService(nodes, engine=engine, seed=3)
     assert service.run(max_rounds=20).converged_after is not None
-    assert transport.meter.dropped > 0
+    assert engine.meter.dropped > 0
     service.crash(nodes[5])
     assert transport.partitions([node.node_id for node in nodes]) == [
         {node.node_id for node in nodes} - {"n5"}

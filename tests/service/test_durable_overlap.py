@@ -25,8 +25,6 @@ BACKENDS = ("file", "sqlite")
 class LoseLink:
     """A transport that loses every message from ``source`` to ``destination``."""
 
-    meter = None
-
     def __init__(self, source, destination):
         self.lost = (source, destination)
 

@@ -303,7 +303,7 @@ class TestDegradation:
         assert state.stuck_legs == 1
         assert state.stuck_seconds_total == 7.0
 
-    def test_transport_charges_hangs_and_drops_the_leg(self):
+    def test_a_stuck_leg_comes_back_empty_carrying_its_hang(self):
         plan = FaultPlan(
             degradation=DegradationPlan(
                 slow_fraction=1.0,
@@ -314,10 +314,10 @@ class TestDegradation:
         )
         transport = FaultyTransport(FullyConnectedNetwork(), plan=plan, seed=0)
         transport.ensure_degradation(["a", "b"])
-        delivered = transport.transfer_batch("a", "b", [(0, b"payload")])
-        assert delivered == []
-        assert transport.take_pending_hang() == 5.0
-        assert transport.take_pending_hang() == 0.0  # charged exactly once
+        for _ in range(2):  # each attempt carries its own hang, no more
+            delivered = transport.transfer_batch("a", "b", [b"payload"])
+            assert delivered == []
+            assert delivered.hang == 5.0
 
 
 def _digest(nodes):

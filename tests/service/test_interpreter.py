@@ -9,7 +9,6 @@ import pytest
 
 import repro
 from repro.core.errors import SessionTimeout
-from repro.replication.network import NetworkMeter
 from repro.replication.synchronizer import SessionAbort, SleepEffect, TransferEffect
 from repro.service import Interpreter, Job, LinkProfile
 
@@ -154,16 +153,16 @@ def test_a_queued_job_starts_when_the_holder_of_its_slot_ends():
     assert log == [("other", 0.0, 1.0), ("holder", 0.0, 2.0), ("queued", 2.0, 3.0)]
 
 
-def test_transfer_legs_are_priced_by_the_link_and_metered():
+def test_transfer_legs_are_priced_by_the_link_and_kept():
     def session():
         yield TransferEffect("a", "b", 1, 100)
-        yield TransferEffect("b", "a", 1, 300)
+        yield TransferEffect("b", "a", 1, 300, hang=5.0)
 
-    meter = NetworkMeter()
-    interpreter = Interpreter(link=LinkProfile(latency=1.0, bandwidth=100.0), meter=meter)
+    interpreter = Interpreter(link=LinkProfile(latency=1.0, bandwidth=100.0))
     interpreter.submit(Job((("a", 0), ("b", 0)), session()))
-    assert interpreter.run() == pytest.approx(6.0)
-    assert meter.transfer_latencies == pytest.approx([2.0, 4.0])
+    assert interpreter.run() == pytest.approx(11.0)
+    # The stuck second leg pays its hang on top of its link price.
+    assert interpreter.leg_latencies == pytest.approx([2.0, 9.0])
 
 
 def test_close_may_submit_a_follow_up_job():
